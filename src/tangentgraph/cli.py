@@ -71,8 +71,6 @@ class SystemExit2(Exception):
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed (recorded)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap")
     p.add_argument("--out", help="output path (JSON or CSV per command)")
     p.add_argument("--quiet", action="store_true")
 
@@ -187,7 +185,6 @@ def _emit(cfg, result: dict, out_path, quiet: bool) -> None:
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": cfg.get("seed", 0),
         "config": {k: v for k, v in sorted(cfg.items()) if k not in ("out", "quiet")},
         "result": result,
     }
@@ -197,10 +194,6 @@ def _emit(cfg, result: dict, out_path, quiet: bool) -> None:
             handle.write(text + "\n")
     if not quiet:
         print(text)
-
-
-def _sample_q(immersion, per_axis: int):
-    return immersion.sample_points(per_axis=per_axis)
 
 
 def _cmd_zoo(cfg) -> int:
@@ -230,7 +223,7 @@ def _cmd_radii(cfg) -> int:
     if cfg.get("lam") is None:
         raise InvalidParams("radii requires --lambda")
     kind = KIND_C0 if cfg["kind"] == "c0" else KIND_C1
-    Q = _sample_q(immersion, int(cfg.get("samples", 8)))
+    Q = immersion.sample_points(per_axis=int(cfg.get("samples", 8)))
     report = max_radius(
         immersion,
         float(cfg["lam"]),
@@ -238,7 +231,6 @@ def _cmd_radii(cfg) -> int:
         Q,
         tol=float(cfg.get("tol", 1e-3)),
         N=cfg.get("grid"),
-        threads=int(cfg.get("threads", 1)),
     )
     _emit(cfg, report.to_dict(), cfg.get("out"), cfg.get("quiet", False))
     return EXIT_OK
@@ -251,30 +243,26 @@ def _cmd_verify(cfg) -> int:
     if lam is None:
         raise InvalidParams("verify requires --lambda")
     lam = float(lam)
-    threads = int(cfg.get("threads", 1))
     grid = cfg.get("grid")
 
     if statement == "theorem":
-        Q = _sample_q(immersion, int(cfg.get("samples", 8)))
+        Q = immersion.sample_points(per_axis=int(cfg.get("samples", 8)))
         verdict = verify_main_theorem(
             immersion, lam, Q, tol=float(cfg.get("tol", 1e-3)), N=grid,
-            threads=threads,
         )
         _emit(cfg, verdict.to_dict(), cfg.get("out"), cfg.get("quiet", False))
         return EXIT_OK if verdict.holds else EXIT_FAIL
 
     if statement == "enlargement":
-        Q = _sample_q(immersion, int(cfg.get("samples", 8)))
+        Q = immersion.sample_points(per_axis=int(cfg.get("samples", 8)))
         r = cfg.get("r")
         if r is None:
             base = max_radius(immersion, lam, KIND_C1, Q,
-                              tol=float(cfg.get("tol", 1e-3)), N=grid,
-                              threads=threads)
+                              tol=float(cfg.get("tol", 1e-3)), N=grid)
             if base.status != "bracketed":
                 raise Inconclusive(f"no usable base radius ({base.status})")
             r = 0.9 * base.r_lo
-        holds = check_enlargement(immersion, float(r), lam, Q, N=grid,
-                                  threads=threads)
+        holds = check_enlargement(immersion, float(r), lam, Q, N=grid)
         _emit(cfg, {"holds": holds, "r": float(r), "lambda": lam},
               cfg.get("out"), cfg.get("quiet", False))
         return EXIT_OK if holds else EXIT_FAIL
@@ -293,8 +281,10 @@ def _cmd_verify(cfg) -> int:
     if statement == "inclusion":
         if cfg.get("r") is None:
             raise InvalidParams("inclusion requires --r")
+        if grid is not None:
+            raise InvalidParams("inclusion extracts no graph; --grid does not apply")
         r = float(cfg["r"])
-        holds = check_inclusion(immersion, q, r, lam, N=grid)
+        holds = check_inclusion(immersion, q, r, lam)
         _emit(cfg, {"holds": holds, "r": r, "lambda": lam},
               cfg.get("out"), cfg.get("quiet", False))
         return EXIT_OK if holds else EXIT_FAIL

@@ -25,12 +25,7 @@ from .errors import (
     NoConvergence,
     NotAGraph,
 )
-from .geometry import (
-    Isometry,
-    is_admissible,
-    make_admissible_isometry,
-    matrix_norm,
-)
+from .geometry import Isometry, is_admissible, make_admissible_isometry
 from .zoo import ParamImmersion, ParamPoint, tangent_space
 
 STATUS_OK = 0
@@ -157,33 +152,13 @@ class ComponentRegion:
                     out[i] = True
         return out
 
-    def cell_center(self, chart: int, idx) -> np.ndarray:
-        ch = self.charts[chart]
-        size = self.cell_sizes[chart]
-        return ch.lo + (np.asarray(idx, dtype=float) + 0.5) * size
 
-
-def _sigma_max_batch(jac: np.ndarray) -> np.ndarray:
-    """Largest singular value per stacked Jacobian, closed forms for m <= 2."""
-    m = jac.shape[-1]
-    if m == 1:
-        return np.linalg.norm(jac[..., 0], axis=-1)
-    if m == 2:
-        g = np.einsum("...ji,...jk->...ik", jac, jac)
-        half_tr = 0.5 * (g[..., 0, 0] + g[..., 1, 1])
-        disc = np.sqrt(
-            np.maximum(0.25 * (g[..., 0, 0] - g[..., 1, 1]) ** 2
-                       + g[..., 0, 1] ** 2, 0.0)
-        )
-        return np.sqrt(np.maximum(half_tr + disc, 0.0))
-    return np.linalg.svd(jac, compute_uv=False)[..., 0]
-
-
-def _sigma_min_square(mat: np.ndarray) -> np.ndarray:
-    """Smallest singular value per stacked square matrix (m <= 2 closed form)."""
+def _singular_extremes(mat: np.ndarray):
+    """(sigma_max, sigma_min) per stacked matrix, closed forms for m <= 2."""
     m = mat.shape[-1]
     if m == 1:
-        return np.abs(mat[..., 0, 0])
+        s = np.linalg.norm(mat[..., 0], axis=-1)
+        return s, s
     if m == 2:
         g = np.einsum("...ji,...jk->...ik", mat, mat)
         half_tr = 0.5 * (g[..., 0, 0] + g[..., 1, 1])
@@ -191,8 +166,10 @@ def _sigma_min_square(mat: np.ndarray) -> np.ndarray:
             np.maximum(0.25 * (g[..., 0, 0] - g[..., 1, 1]) ** 2
                        + g[..., 0, 1] ** 2, 0.0)
         )
-        return np.sqrt(np.maximum(half_tr - disc, 0.0))
-    return np.linalg.svd(mat, compute_uv=False)[..., -1]
+        return (np.sqrt(np.maximum(half_tr + disc, 0.0)),
+                np.sqrt(np.maximum(half_tr - disc, 0.0)))
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return svals[..., 0], svals[..., -1]
 
 
 def _orthonormalize_batch(jac: np.ndarray) -> np.ndarray:
@@ -301,7 +278,7 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
         y = ctx.frame_coords(ci, cen)
         x_c = y[:, :m]
         u_c = y[:, m:]
-        sig = _sigma_max_batch(f.jacobian_chart(ci, cen))
+        sig, _ = _singular_extremes(f.jacobian_chart(ci, cen))
         ok = np.linalg.norm(x_c, axis=1) < r
         return ok, x_c, u_c, sig
 
@@ -444,7 +421,8 @@ def component(ctx: FrameContext, h: float = None,
         return region
 
     jac = ctx.immersion.jacobian(ctx.base_point)
-    sigma = float(_sigma_max_batch(jac[None, ...])[0]) * 1.3
+    sigma_max, _ = _singular_extremes(jac[None, ...])
+    sigma = float(sigma_max[0]) * 1.3
     region = None
     for _ in range(4):
         h_try = r / (32.0 * sigma)
@@ -782,7 +760,7 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
         framed = np.einsum("ij,bjl->bil", ctx.iso.rotation.T, basis)
         top = framed[:, :m, :]
         bottom = framed[:, m:, :]
-        smin = _sigma_min_square(top)
+        _, smin = _singular_extremes(top)
         vertical = smin <= VERTICAL_RANK_TOL
         status[ok_rows[vertical]] = STATUS_VERTICAL
         good = ~vertical

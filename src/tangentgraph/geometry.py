@@ -1,7 +1,7 @@
 """Small-dimension exact linear algebra: subspaces, isometries, graph matrices.
 
 Everything here is pure and value-like; arrays are treated as immutable
-after construction, so all operations are safe to share across threads.
+after construction, so values may be shared freely between callers.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ class Subspace:
         if np.linalg.matrix_rank(v, tol=1e-12) < v.shape[1]:
             raise ValueError("spanning vectors are linearly dependent")
         return cls(q)
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
 
     def distance_of(self, v) -> float:
         """Euclidean distance from a vector to the span."""

@@ -7,22 +7,12 @@ can only certify what it has probed, and says so.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryEscape,
-    Inconclusive,
-    MonotonicityViolation,
-    NotAGraph,
-)
+from .errors import BoundaryEscape, Inconclusive, MonotonicityViolation
 from .extractor import (
-    STATUS_MULTI_SHEET,
-    STATUS_OK,
-    STATUS_UNCOVERED,
-    STATUS_VERTICAL,
     FrameContext,
     _extract_on_region,
     component,
@@ -64,16 +54,16 @@ class PropertyVerdict:
     reason: str = ""
 
 
-def _witness_at(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
-                kind: str, N: int) -> Witness:
+def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
+    """Local property check at the context's base point and radius."""
+    q, r, m = ctx.base_point, ctx.radius, ctx.immersion.m
     try:
-        ctx = FrameContext.at(f, q, r)
         region = component(ctx, refine_check=False)
     except BoundaryEscape as exc:
         return Witness(q, "inconclusive", detail=str(exc))
     # A second sheet fails both properties; skip the node solve when the
     # cell scan already proves it (same flagging rule as extraction).
-    if second_sheet_present(region, r, N, f.m):
+    if second_sheet_present(region, r, N, m):
         return Witness(q, "fail", detail="multi_sheet")
     sample = _extract_on_region(ctx, region, N)
     counts = sample.status_counts()
@@ -102,49 +92,34 @@ def _witness_at(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     raise ValueError(f"unknown property kind {kind!r}")
 
 
-def _check_property(f, r, lam, Q, kind, N=None, early_exit=True,
-                    threads=1) -> PropertyVerdict:
+def _check_property(f, r, lam, Q, kind, N=None) -> PropertyVerdict:
+    """Witnesses in sample order, stopping at the first that does not pass."""
     if r <= 0 or lam <= 0:
         raise ValueError("radius and slope bound must be positive")
     N = N or default_grid(f.m)
-    Q = list(Q)
     witnesses = []
-    if threads > 1 and len(Q) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            witnesses = list(
-                pool.map(lambda q: _witness_at(f, q, r, lam, kind, N), Q)
-            )
-    else:
-        for q in Q:
-            w = _witness_at(f, q, r, lam, kind, N)
-            witnesses.append(w)
-            if early_exit and w.status != "pass":
-                break
-    for w in witnesses:
-        if w.status == "inconclusive":
+    for q in Q:
+        w = _witness_at(FrameContext.at(f, q, r), lam, kind, N)
+        witnesses.append(w)
+        if w.status != "pass":
             return PropertyVerdict(
-                False, witnesses, failing_q=w.point, inconclusive=True,
-                reason=w.detail,
-            )
-    for w in witnesses:
-        if w.status == "fail":
-            return PropertyVerdict(
-                False, witnesses, failing_q=w.point, reason=w.detail
+                False, witnesses, failing_q=w.point,
+                inconclusive=w.status == "inconclusive", reason=w.detail,
             )
     return PropertyVerdict(True, witnesses)
 
 
-def is_r_lambda(f: ParamImmersion, r: float, lam: float, Q, N: int = None,
-                early_exit: bool = True, threads: int = 1) -> PropertyVerdict:
+def is_r_lambda(f: ParamImmersion, r: float, lam: float, Q,
+                N: int = None) -> PropertyVerdict:
     """Differentiable-graph property: single sheet, no verticals, lip <= lam."""
-    return _check_property(f, r, lam, Q, KIND_C1, N, early_exit, threads)
+    return _check_property(f, r, lam, Q, KIND_C1, N)
 
 
-def is_c0_r_lambda(f: ParamImmersion, r: float, lam: float, Q, N: int = None,
-                   early_exit: bool = True, threads: int = 1) -> PropertyVerdict:
+def is_c0_r_lambda(f: ParamImmersion, r: float, lam: float, Q,
+                   N: int = None) -> PropertyVerdict:
     """Continuous-graph property: single covering sheet (verticals allowed),
     heights bounded by r * lam."""
-    return _check_property(f, r, lam, Q, KIND_C0, N, early_exit, threads)
+    return _check_property(f, r, lam, Q, KIND_C0, N)
 
 
 @dataclass
@@ -205,7 +180,7 @@ def _sample_spec(f: ParamImmersion, Q) -> dict:
 
 
 def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
-               N: int = None, cap: float = RADIUS_CAP, threads: int = 1,
+               N: int = None, cap: float = RADIUS_CAP,
                check_monotone: bool = True) -> RadiusReport:
     """Maximal radius at which the graph property holds on the sample.
 
@@ -228,7 +203,7 @@ def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
     def passes(r: float) -> bool:
         nonlocal probes
         probes += 1
-        verdict = _check_property(f, r, lam, Q, kind, N, True, threads)
+        verdict = _check_property(f, r, lam, Q, kind, N)
         if verdict.inconclusive:
             raise Inconclusive(
                 f"property check inconclusive at r={r:.6g}: {verdict.reason}"

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Inconclusive, InvalidParams, PreconditionViolated, ProbeHypothesisFailed
-from .extractor import (
+# _extract_on_region and norms stay importable: the benchmark traces them here.
+from .extractor import (  # noqa: F401
     FrameContext,
     _extract_on_region,
     _solve_batch,
@@ -29,6 +30,7 @@ from .radius import (
     KIND_C0,
     KIND_C1,
     RadiusReport,
+    _witness_at,
     default_grid,
     is_r_lambda,
     max_radius,
@@ -66,7 +68,7 @@ class TheoremVerdict:
 
 
 def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
-                        N: int = None, threads: int = 1) -> TheoremVerdict:
+                        N: int = None) -> TheoremVerdict:
     """Measure r0 at the height bound and r1 at the lifted slope bound.
 
     Holds when the scaled slope radius reaches the height radius up to the
@@ -77,8 +79,8 @@ def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
         raise PreconditionViolated(
             f"height bound {lam:.3e} exceeds the threshold {cap:.3e}"
         )
-    r0 = max_radius(f, lam, KIND_C0, Q, tol=tol, N=N, threads=threads)
-    r1 = max_radius(f, lam / cap, KIND_C1, Q, tol=tol, N=N, threads=threads)
+    r0 = max_radius(f, lam, KIND_C0, Q, tol=tol, N=N)
+    r1 = max_radius(f, lam / cap, KIND_C1, Q, tol=tol, N=N)
     if r1.unbounded:
         margin = float("inf")
         holds = True
@@ -92,7 +94,7 @@ def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
 
 
 def check_enlargement(f: ParamImmersion, r: float, lam: float, Q,
-                      N: int = None, threads: int = 1) -> bool:
+                      N: int = None) -> bool:
     """Graph property at (r, lam) lifts to (7r/4, 8 sqrt(m) lam).
 
     Requires lam <= 1 / (8 sqrt(m)) and the base property to hold; both
@@ -103,7 +105,7 @@ def check_enlargement(f: ParamImmersion, r: float, lam: float, Q,
         raise PreconditionViolated(
             f"slope bound {lam:.6g} exceeds 1/(8 sqrt(m)) = {bound:.6g}"
         )
-    base = is_r_lambda(f, r, lam, Q, N=N, threads=threads)
+    base = is_r_lambda(f, r, lam, Q, N=N)
     if base.inconclusive:
         raise Inconclusive(base.reason)
     if not base.holds:
@@ -111,29 +113,22 @@ def check_enlargement(f: ParamImmersion, r: float, lam: float, Q,
             f"hypothesis fails: no ({r:.6g}, {lam:.6g}) graph property "
             f"({base.reason})"
         )
-    lifted = is_r_lambda(f, 1.75 * r, 8.0 * math.sqrt(f.m) * lam, Q, N=N,
-                         threads=threads)
+    lifted = is_r_lambda(f, 1.75 * r, 8.0 * math.sqrt(f.m) * lam, Q, N=N)
     if lifted.inconclusive:
         raise Inconclusive(lifted.reason)
     return lifted.holds
 
 
-def _verify_c0_at(f, q, r, lam, N) -> FrameContext:
-    """Check the continuous-graph property at one base point; return its ctx."""
-    ctx = FrameContext.at(f, q, r)
-    region = component(ctx, refine_check=False)
-    sample = _extract_on_region(ctx, region, N)
-    counts = sample.status_counts()
-    if counts["multi_sheet"] or counts["uncovered"]:
+def _require_c0(ctx: FrameContext, lam: float, N: int = None) -> None:
+    """Refuse unless the continuous-graph property holds at the base point."""
+    w = _witness_at(ctx, lam, KIND_C0, N or default_grid(ctx.immersion.m))
+    if w.status == "inconclusive":
+        raise Inconclusive(w.detail)
+    if w.status == "fail":
         raise PreconditionViolated(
-            f"no continuous graph at the base point: {counts}"
+            f"no ({ctx.radius:.6g}, {lam:.6g}) continuous graph at the base "
+            f"point: {w.detail}"
         )
-    est = norms(sample)
-    if est.c0 > r * lam:
-        raise PreconditionViolated(
-            f"height bound fails at the base point: {est.c0:.6g} > {r * lam:.6g}"
-        )
-    return ctx
 
 
 def _subsample(items: list, count: int) -> list:
@@ -153,8 +148,7 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     """
     if not 0 < rho <= r:
         raise ValueError("need 0 < rho <= r")
-    N = N or default_grid(f.m)
-    _verify_c0_at(f, q, r, lam, N)
+    _require_c0(FrameContext.at(f, q, r), lam, N)
     ctx_rho = FrameContext.at(f, q, rho)
     region = component(ctx_rho, refine_check=False)
     fq = f.eval(q)
@@ -170,7 +164,7 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
 
 
 def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
-                    num_points: int = 12, N: int = None) -> bool:
+                    num_points: int = 12) -> bool:
     """The (2r/5)-component of q sits inside the r-component of each of its
     points, compared cell-by-cell on a shared parameter grid.
 
@@ -247,8 +241,8 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
         raise PreconditionViolated(
             f"height bound {lam:.3e} exceeds the threshold {cap:.3e}"
         )
-    N = N or default_grid(m)
-    ctx = _verify_c0_at(f, q, r, lam, N)
+    ctx = FrameContext.at(f, q, r)
+    _require_c0(ctx, lam, N)
 
     rho = r / 5.0
     s = int(nodes_per_rho)

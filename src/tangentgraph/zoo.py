@@ -9,7 +9,7 @@ leading axes: coords of shape (..., m) map to (..., n) and (..., n, m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class ParamImmersion:
     charts: list
     sample_per_axis: int = 64
     locate: callable = None  # ambient point -> ParamPoint in another chart
-    _sigma_cache: float = field(default=None, repr=False)
     _bbox_cache: float = field(default=None, repr=False)
 
     @property
@@ -145,21 +144,6 @@ class ParamImmersion:
             for c in coords[keep]:
                 out.append(ParamPoint(ci, c))
         return out
-
-    def sigma_bound(self) -> float:
-        """Cached bound on the Jacobian's largest singular value over samples."""
-        if self._sigma_cache is None:
-            worst = 0.0
-            for ci, chart in enumerate(self.charts):
-                pts = [p for p in self.sample_points(per_axis=17) if p.chart == ci]
-                if not pts:
-                    continue
-                coords = np.stack([p.coords for p in pts])
-                jac = self.jacobian_chart(ci, coords)
-                svals = np.linalg.svd(jac, compute_uv=False)
-                worst = max(worst, float(svals[..., 0].max()))
-            self._sigma_cache = worst * 1.25
-        return self._sigma_cache
 
     def ambient_bbox_diag(self) -> float:
         """Cached bounding-box diagonal of the sampled image, for radius scales."""
@@ -512,83 +496,56 @@ def zoo_build(name: str, params: dict = None) -> ParamImmersion:
     return immersion
 
 
+def _map_image(f: ParamImmersion, point, jacobian, inverse,
+               params: dict) -> ParamImmersion:
+    """The immersion with every chart's image mapped by ``point``.
+
+    ``jacobian`` maps chart Jacobians accordingly and ``inverse`` carries
+    ambient points back for the immersion's ``locate`` hook.
+    """
+
+    def wrap_chart(chart: Chart) -> Chart:
+        return replace(chart, eval=lambda x: point(chart.eval(x)),
+                       jacobian=lambda x: jacobian(chart.jacobian(x)))
+
+    locate = None
+    if f.locate is not None:
+
+        def locate(ambient, exclude=None):
+            return f.locate(inverse(ambient), exclude=exclude)
+
+    return ParamImmersion(
+        f.name,
+        params,
+        f.m,
+        f.n,
+        [wrap_chart(ch) for ch in f.charts],
+        sample_per_axis=f.sample_per_axis,
+        locate=locate,
+    )
+
+
 def transform_immersion(f: ParamImmersion, iso: Isometry) -> ParamImmersion:
     """Compose the immersion with a rigid motion of the ambient space."""
     if iso.dim != f.n:
         raise InvalidParams("isometry dimension does not match the immersion")
-
-    def wrap_chart(chart: Chart) -> Chart:
-        def ev(x):
-            return iso.apply(chart.eval(x))
-
-        def jac(x):
-            return np.einsum("ij,...jl->...il", iso.rotation, chart.jacobian(x))
-
-        return Chart(
-            lo=chart.lo,
-            hi=chart.hi,
-            eval=ev,
-            jacobian=jac,
-            periodic=chart.periodic,
-            inside=chart.inside,
-            sample_lo=chart.sample_lo,
-            sample_hi=chart.sample_hi,
-        )
-
-    locate = None
-    if f.locate is not None:
-        inv = iso.inverse()
-
-        def locate(ambient, exclude=None):
-            return f.locate(inv.apply(ambient), exclude=exclude)
-
-    out = ParamImmersion(
-        f.name,
+    return _map_image(
+        f,
+        iso.apply,
+        lambda jac: np.einsum("ij,...jl->...il", iso.rotation, jac),
+        iso.inverse().apply,
         dict(f.params, transformed=True),
-        f.m,
-        f.n,
-        [wrap_chart(c) for c in f.charts],
-        sample_per_axis=f.sample_per_axis,
-        locate=locate,
     )
-    return out
 
 
 def scale_immersion(f: ParamImmersion, c: float) -> ParamImmersion:
     """The immersion c * f (same parameter domain, scaled image)."""
     if c <= 0:
         raise InvalidParams("scale factor must be positive")
-
-    def wrap_chart(chart: Chart) -> Chart:
-        def ev(x):
-            return c * np.asarray(chart.eval(x), dtype=float)
-
-        def jac(x):
-            return c * np.asarray(chart.jacobian(x), dtype=float)
-
-        return Chart(
-            lo=chart.lo,
-            hi=chart.hi,
-            eval=ev,
-            jacobian=jac,
-            periodic=chart.periodic,
-            inside=chart.inside,
-            sample_lo=chart.sample_lo,
-            sample_hi=chart.sample_hi,
-        )
-
-    locate = None
-    if f.locate is not None:
-
-        def locate(ambient, exclude=None):
-            return f.locate(np.asarray(ambient, dtype=float) / c, exclude=exclude)
-
-    return ParamImmersion(
-        f.name,
+    return _map_image(
+        f,
+        lambda y: c * np.asarray(y, dtype=float),
+        lambda jac: c * np.asarray(jac, dtype=float),
+        lambda ambient: np.asarray(ambient, dtype=float) / c,
         dict(f.params, scaled_by=c),
-        f.m,
-        f.n,
-        [wrap_chart(ch) for ch in f.charts],
-        sample_per_axis=f.sample_per_axis,
-        locate=locate,
     )

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from tangentgraph import extractor
 from tangentgraph.cli import (
     EXIT_FAIL,
+    EXIT_INCONCLUSIVE,
     EXIT_INVALID,
     EXIT_OK,
     main,
@@ -44,6 +46,16 @@ class TestExtractCommand:
         rows = out_file.read_text().strip().splitlines()
         assert rows[0] == "x1,u1,status,du_norm"
         assert len(rows) == 65
+
+    def test_cell_budget_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(extractor, "CELL_BUDGET", 10)
+        code, _, err = run(
+            ["extract", "--immersion", "circle", "--r", "0.5", "--grid", "64",
+             "--out", str(tmp_path / "sample.csv")],
+            capsys,
+        )
+        assert code == EXIT_INCONCLUSIVE
+        assert "cell budget" in err
 
     def test_missing_radius_is_invalid(self, capsys):
         code, _, err = run(["extract", "--immersion", "circle"], capsys)
@@ -102,6 +114,15 @@ class TestVerifyCommand:
             capsys,
         )
         assert code == EXIT_OK
+
+    def test_inclusion_rejects_grid(self, capsys):
+        code, _, err = run(
+            ["verify", "inclusion", "--immersion", "circle", "--R", "1",
+             "--lambda", "0.1", "--r", "0.19", "--q", "0.3", "--grid", "64"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "--grid" in err
 
     def test_bad_lambda_is_invalid(self, capsys):
         code, _, _ = run(
@@ -167,7 +188,7 @@ class TestContracts:
             out_file = tmp_path / f"run{i}.json"
             code, _, _ = run(
                 ["radii", "--kind", "c1", "--immersion", "circle",
-                 "--lambda", "0.5", "--samples", "4", "--seed", "7",
+                 "--lambda", "0.5", "--samples", "4",
                  "--out", str(out_file), "--quiet"],
                 capsys,
             )

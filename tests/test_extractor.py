@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tangentgraph as tg
-from tangentgraph import BoundaryEscape, NoConvergence, NotAGraph
+from tangentgraph import BoundaryEscape, GeometryError, NoConvergence, NotAGraph
+from tangentgraph import extractor
 from tangentgraph.extractor import (
     STATUS_MULTI_SHEET,
     STATUS_OK,
@@ -52,6 +53,11 @@ class TestComponent:
         ctx = tg.FrameContext.at(g, g.point(0, [0.9]), 0.5)
         with pytest.raises(BoundaryEscape):
             tg.component(ctx)
+
+    def test_cell_budget(self, circle, monkeypatch):
+        monkeypatch.setattr(extractor, "CELL_BUDGET", 10)
+        with pytest.raises(GeometryError, match="cell budget"):
+            tg.component(circle_ctx(circle, 0.5))
 
 
 class TestSolveHeight:

@@ -1,0 +1,92 @@
+"""Property tests over random quadratic graphs.
+
+Each example builds ``graph_of`` with the height 0.5 x^T A x + b.x for a
+random symmetric A and slope b, picks a base point in the sampling window,
+and runs one extraction per immersion at a fixed radius, so an example
+stays cheap.  The curvature stays below 1 and the radius below 0.4, so the
+local piece is a graph over the tangent ball.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import tangentgraph as tg
+from tangentgraph import PreconditionViolated
+
+PROPERTY_SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
+GRID = 24
+
+unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def quadratic_graphs(draw):
+    """(immersion, base point) for a random quadratic height over R^m."""
+    m = draw(st.integers(1, 2))
+    a = np.array(draw(st.lists(unit, min_size=m * m, max_size=m * m)))
+    a = a.reshape(m, m)
+    a = (a + a.T) / (2.0 * max(1.0, np.abs(a).sum()))  # operator norm <= 1
+    b = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+
+    def height(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * np.einsum("...i,ij,...j->...", x, a, x) + x @ b
+
+    def height_grad(x):
+        return np.asarray(x, dtype=float) @ a + b
+
+    f = tg.zoo_build("graph_of", {"m": m, "extent": 4.0, "window": 1.0,
+                                  "height": height, "height_grad": height_grad})
+    q = f.point(0, draw(st.lists(unit, min_size=m, max_size=m)))
+    return f, q
+
+
+def graph_norms(f, q, r):
+    sample = tg.extract(tg.FrameContext.at(f, q, r), GRID, refine_check=False)
+    counts = sample.status_counts()
+    assert counts["ok"] == len(sample.status), counts
+    return tg.norms(sample)
+
+
+@PROPERTY_SETTINGS
+@given(quadratic_graphs(), st.floats(0.05, 0.4), st.floats(0.25, 4.0))
+def test_norms_scale_with_the_immersion(graph, r, c):
+    f, q = graph
+    base = graph_norms(f, q, r)
+    scaled = graph_norms(tg.scale_immersion(f, c), q, c * r)
+    assert scaled.c0 == pytest.approx(c * base.c0, rel=1e-6, abs=1e-12)
+    assert scaled.lip == pytest.approx(base.lip, rel=1e-6, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(quadratic_graphs(), st.floats(0.05, 0.4), st.integers(0, 2**32 - 1))
+def test_norms_invariant_under_rigid_motion(graph, r, seed):
+    f, q = graph
+    rng = np.random.default_rng(seed)
+    iso = tg.Isometry(tg.random_rotation(f.n, rng), rng.standard_normal(f.n))
+    base = graph_norms(f, q, r)
+    moved = graph_norms(tg.transform_immersion(f, iso), q, r)
+    assert moved.c0 == pytest.approx(base.c0, rel=1e-6, abs=1e-12)
+    assert moved.lip == pytest.approx(base.lip, rel=1e-6, abs=1e-12)
+
+
+def refuses(check) -> bool:
+    try:
+        check()
+    except PreconditionViolated:
+        return True
+    return False
+
+
+@PROPERTY_SETTINGS
+@given(quadratic_graphs(), st.floats(0.25, 10.0))
+def test_precondition_refusal_matches_height_property(graph, s):
+    # r = s * lam straddles the height-bound radius, about lam / curvature
+    f, q = graph
+    lam = tg.lambda_cap(f.m)
+    r = s * lam
+    holds = tg.is_c0_r_lambda(f, r, lam, [q], N=GRID).holds
+    assert refuses(lambda: tg.certify_du_bound(f, q, r, lam, N=GRID)) == (not holds)
+    assert refuses(lambda: tg.check_distance_bound(f, q, r, r, lam, N=GRID)) == (
+        not holds)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tangentgraph as tg
-from tangentgraph import Inconclusive
+from tangentgraph import Inconclusive, MonotonicityViolation, radius
 
 from conftest import cached_max_radius, circle_r0, circle_r1
 
@@ -40,7 +40,7 @@ class TestPropertyChecks:
         assert "multi_sheet" in v.reason
 
     def test_witnesses_recorded(self, circle, circle_q):
-        v = tg.is_r_lambda(circle, 0.40, 0.5, circle_q, early_exit=False)
+        v = tg.is_r_lambda(circle, 0.40, 0.5, circle_q)
         assert len(v.witnesses) == len(circle_q)
         assert all(w.status == "pass" for w in v.witnesses)
         assert v.witnesses[0].lip == pytest.approx(0.4 / math.sqrt(0.84),
@@ -51,12 +51,6 @@ class TestPropertyChecks:
                                       "window": 1.0})
         v = tg.is_r_lambda(g, 0.5, 5.0, [g.point(0, [0.9])])
         assert not v.holds and v.inconclusive
-
-    def test_threads_match_serial(self, circle, circle_q):
-        a = tg.is_r_lambda(circle, 0.40, 0.5, circle_q, early_exit=False)
-        b = tg.is_r_lambda(circle, 0.40, 0.5, circle_q, threads=2)
-        assert a.holds == b.holds
-        assert [w.lip for w in a.witnesses] == [w.lip for w in b.witnesses]
 
 
 class TestMaxRadius:
@@ -95,6 +89,16 @@ class TestMaxRadius:
         hi = cached_max_radius(radius_cache, circle, 0.5, tg.KIND_C1,
                                circle_q, N=257)
         assert lo.r_lo <= hi.r_hi
+
+    def test_non_monotone_property_aborts(self, circle, circle_q,
+                                          monkeypatch):
+        # holds up to 0.5 except on a band that only the spot check probes
+        def check(f, r, lam, Q, kind, N=None):
+            return radius.PropertyVerdict(r <= 0.5 and not 0.25 < r < 0.35, [])
+
+        monkeypatch.setattr(radius, "_check_property", check)
+        with pytest.raises(MonotonicityViolation):
+            tg.max_radius(circle, 0.5, tg.KIND_C1, circle_q)
 
     def test_inconclusive_propagates(self):
         g = tg.zoo_build("graph_of", {"m": 1, "coeff": 0.0, "extent": 1.2,
