@@ -59,6 +59,17 @@ _ENTRY_FLAGS = {
 }
 
 
+# The optional verify fields each statement reads; setting another one, by
+# flag or in --config, is an error.
+_VERIFY_READS = {
+    "theorem": {"samples", "tol", "grid"},
+    "enlargement": {"r", "samples", "tol", "grid"},
+    "distance": {"r", "rho", "q", "chart", "grid"},
+    "inclusion": {"r", "q", "chart"},
+    "du-cert": {"r", "q", "chart", "grid"},
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -111,17 +122,17 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="check a statement numerically")
     p_ver.add_argument(
         "statement",
-        choices=["theorem", "enlargement", "distance", "inclusion", "du-cert"],
+        choices=list(_VERIFY_READS),
     )
     _add_entry_flags(p_ver)
     p_ver.add_argument("--lambda", dest="lam", type=float, required=False)
     p_ver.add_argument("--r", type=float, default=None)
     p_ver.add_argument("--rho", type=float, default=None)
-    p_ver.add_argument("--q", default="0")
+    p_ver.add_argument("--q", default=None)
     p_ver.add_argument("--chart", type=int, default=None)
-    p_ver.add_argument("--tol", type=float, default=1e-3)
+    p_ver.add_argument("--tol", type=float, default=None)
     p_ver.add_argument("--grid", type=int, default=None)
-    p_ver.add_argument("--samples", type=int, default=8)
+    p_ver.add_argument("--samples", type=int, default=None)
     _add_common(p_ver)
 
     p_ce = sub.add_parser("counterexample", help="free-line graph analysis")
@@ -180,7 +191,7 @@ def _parse_q(cfg, immersion) -> ParamPoint:
     return immersion.point(int(chart), np.array(coords))
 
 
-def _emit(cfg, result: dict, out_path, quiet: bool) -> None:
+def _emit(cfg, result: dict) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -189,16 +200,16 @@ def _emit(cfg, result: dict, out_path, quiet: bool) -> None:
         "result": result,
     }
     text = json.dumps(report, indent=2, sort_keys=True, default=float)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    if cfg.get("out"):
+        with open(cfg["out"], "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    if not quiet:
+    if not cfg.get("quiet", False):
         print(text)
 
 
 def _cmd_zoo(cfg) -> int:
     result = {"entries": sorted(ZOO)}
-    _emit(cfg, result, cfg.get("out"), cfg.get("quiet", False))
+    _emit(cfg, result)
     return EXIT_OK
 
 
@@ -232,7 +243,7 @@ def _cmd_radii(cfg) -> int:
         tol=float(cfg.get("tol", 1e-3)),
         N=cfg.get("grid"),
     )
-    _emit(cfg, report.to_dict(), cfg.get("out"), cfg.get("quiet", False))
+    _emit(cfg, report.to_dict())
     return EXIT_OK
 
 
@@ -244,13 +255,20 @@ def _cmd_verify(cfg) -> int:
         raise InvalidParams("verify requires --lambda")
     lam = float(lam)
     grid = cfg.get("grid")
+    reads = _VERIFY_READS[statement]
+    if statement == "enlargement" and cfg.get("r") is not None:
+        reads = reads - {"tol"}  # tol only brackets the default base radius
+    stray = [f"--{key}" for key in sorted(set().union(*_VERIFY_READS.values()) - reads)
+             if cfg.get(key) is not None]
+    if stray:
+        raise InvalidParams(f"verify {statement} does not use {', '.join(stray)}")
 
     if statement == "theorem":
         Q = immersion.sample_points(per_axis=int(cfg.get("samples", 8)))
         verdict = verify_main_theorem(
             immersion, lam, Q, tol=float(cfg.get("tol", 1e-3)), N=grid,
         )
-        _emit(cfg, verdict.to_dict(), cfg.get("out"), cfg.get("quiet", False))
+        _emit(cfg, verdict.to_dict())
         return EXIT_OK if verdict.holds else EXIT_FAIL
 
     if statement == "enlargement":
@@ -263,43 +281,29 @@ def _cmd_verify(cfg) -> int:
                 raise Inconclusive(f"no usable base radius ({base.status})")
             r = 0.9 * base.r_lo
         holds = check_enlargement(immersion, float(r), lam, Q, N=grid)
-        _emit(cfg, {"holds": holds, "r": float(r), "lambda": lam},
-              cfg.get("out"), cfg.get("quiet", False))
+        _emit(cfg, {"holds": holds, "r": float(r), "lambda": lam})
         return EXIT_OK if holds else EXIT_FAIL
 
     q = _parse_q(cfg, immersion)
+    if cfg.get("r") is None:
+        raise InvalidParams(f"{statement} requires --r")
+    r = float(cfg["r"])
     if statement == "distance":
-        if cfg.get("r") is None:
-            raise InvalidParams("distance requires --r")
-        r = float(cfg["r"])
         rho = float(cfg.get("rho") or r)
         holds = check_distance_bound(immersion, q, rho, r, lam, N=grid)
-        _emit(cfg, {"holds": holds, "r": r, "rho": rho, "lambda": lam},
-              cfg.get("out"), cfg.get("quiet", False))
+        _emit(cfg, {"holds": holds, "r": r, "rho": rho, "lambda": lam})
         return EXIT_OK if holds else EXIT_FAIL
 
     if statement == "inclusion":
-        if cfg.get("r") is None:
-            raise InvalidParams("inclusion requires --r")
-        if grid is not None:
-            raise InvalidParams("inclusion extracts no graph; --grid does not apply")
-        r = float(cfg["r"])
         holds = check_inclusion(immersion, q, r, lam)
-        _emit(cfg, {"holds": holds, "r": r, "lambda": lam},
-              cfg.get("out"), cfg.get("quiet", False))
+        _emit(cfg, {"holds": holds, "r": r, "lambda": lam})
         return EXIT_OK if holds else EXIT_FAIL
 
-    if statement == "du-cert":
-        if cfg.get("r") is None:
-            raise InvalidParams("du-cert requires --r")
-        r = float(cfg["r"])
-        cert = certify_du_bound(immersion, q, r, lam, N=grid)
-        result = cert.to_dict()
-        result["holds"] = result["max_actual"] <= result["global_bound"]
-        _emit(cfg, result, cfg.get("out"), cfg.get("quiet", False))
-        return EXIT_OK if result["holds"] else EXIT_FAIL
-
-    raise InvalidParams(f"unknown statement {statement!r}")
+    cert = certify_du_bound(immersion, q, r, lam, N=grid)  # du-cert
+    result = cert.to_dict()
+    result["holds"] = result["max_actual"] <= result["global_bound"]
+    _emit(cfg, result)
+    return EXIT_OK if result["holds"] else EXIT_FAIL
 
 
 def _cmd_counterexample(cfg) -> int:
@@ -310,7 +314,7 @@ def _cmd_counterexample(cfg) -> int:
         float(cfg["eps"]), float(cfg["delta"]), float(cfg["r"]),
         angle_grid=int(cfg.get("angles", 4096)),
     )
-    _emit(cfg, report.to_dict(), cfg.get("out"), cfg.get("quiet", False))
+    _emit(cfg, report.to_dict())
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 

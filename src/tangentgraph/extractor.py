@@ -37,6 +37,8 @@ STATUS_NAMES = ("ok", "vertical", "multi_sheet", "uncovered")
 VERTICAL_RANK_TOL = 1e-9
 CELL_BUDGET = 5_000_000
 
+NEWTON_MAX_ITER = 100
+
 _SOLVE_OK = 0
 _SOLVE_NO_CONV = 1
 _SOLVE_LEFT = 2
@@ -189,6 +191,18 @@ def _orthonormalize_batch(jac: np.ndarray) -> np.ndarray:
     sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     sign[sign == 0] = 1.0
     return q * sign[..., None, :]
+
+
+def _per_chart(fn, charts, coords) -> np.ndarray:
+    """fn(chart, coords) on the rows of each chart, scattered back in row order."""
+    out = None
+    for c in np.unique(charts):
+        rows = charts == c
+        val = fn(int(c), coords[rows])
+        if out is None:
+            out = np.empty((len(charts),) + val.shape[1:], dtype=val.dtype)
+        out[rows] = val
+    return out
 
 
 def _solve_linear(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -439,7 +453,7 @@ def component(ctx: FrameContext, h: float = None,
 
 
 def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_charts,
-                 seed_coords, max_iter: int = 100):
+                 seed_coords):
     """Damped Newton for the frame projection equation, batched over targets.
 
     Solves pi(frame(f(t))) = x per row.  Steps that leave a chart's valid
@@ -449,7 +463,6 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     LeftRegion; the rest either converge or report NoConvergence.
     """
     f = ctx.immersion
-    iso = ctx.iso
     m, k = f.m, f.k
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     B = targets.shape[0]
@@ -461,20 +474,11 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     heights = np.zeros((B, k))
     strikes = np.zeros(B, dtype=np.int8)
 
-    def frame_eval(sel):
-        y = np.empty((sel.sum(), f.n))
-        cs = chart[sel]
-        cc = coords[sel]
-        for c in np.unique(cs):
-            rows = cs == c
-            y[rows] = iso.inverse_apply(f.eval_chart(int(c), cc[rows]))
-        return y
-
     active = status == -1
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not active.any():
             break
-        y = frame_eval(active)
+        y = _per_chart(ctx.frame_coords, chart[active], coords[active])
         g = y[:, :m] - targets[active]
         res = np.linalg.norm(g, axis=1)
         conv = res <= tol
@@ -490,12 +494,9 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             y, g, res, act_idx = y[keep], g[keep], res[keep], act_idx[keep]
 
         # Newton step in the frame projection.
-        jac = np.empty((len(act_idx), f.n, m))
         cs = chart[act_idx]
-        for c in np.unique(cs):
-            rows = cs == c
-            jac[rows] = f.jacobian_chart(int(c), coords[act_idx][rows])
-        jg = np.einsum("ij,bjl->bil", iso.rotation.T[:m], jac)
+        jac = _per_chart(f.jacobian_chart, cs, coords[act_idx])
+        jg = np.einsum("ij,bjl->bil", ctx.iso.rotation.T[:m], jac)
         step = _solve_linear(jg, g)
 
         cur = coords[act_idx]
@@ -508,13 +509,8 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                 trial_factor = np.where(improved, factor, factor * 0.5)
             cand = cur - trial_factor[:, None] * step
             cand = _constrain_to_charts(f, chart[act_idx], cur, cand)
-            res_new = np.empty(len(act_idx))
-            for c in np.unique(cs):
-                rows = cs == c
-                yc = iso.inverse_apply(f.eval_chart(int(c), cand[rows]))
-                res_new[rows] = np.linalg.norm(
-                    yc[:, :m] - targets[act_idx][rows], axis=1
-                )
+            yc = _per_chart(ctx.frame_coords, cs, cand)
+            res_new = np.linalg.norm(yc[:, :m] - targets[act_idx], axis=1)
             if best is None:
                 best = (cand.copy(), res_new.copy())
                 improved = res_new <= res * (1 - 1e-4)
@@ -541,11 +537,10 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                     coords[row] = target.coords
 
         # Region escape bookkeeping.
-        for c in np.unique(chart[act_idx]):
-            rows = act_idx[chart[act_idx] == c]
-            inside = region.contains(int(c), coords[rows], halo=1)
-            strikes[rows[inside]] = 0
-            strikes[rows[~inside]] += 1
+        inside = _per_chart(lambda c, x: region.contains(c, x, halo=1),
+                            chart[act_idx], coords[act_idx])
+        strikes[act_idx[inside]] = 0
+        strikes[act_idx[~inside]] += 1
         left = strikes >= 2
         if left.any():
             gone = np.nonzero(left & active)[0]
@@ -601,7 +596,7 @@ def solve_height(ctx: FrameContext, region: ComponentRegion, x,
     if status[0] == _SOLVE_LEFT:
         raise LeftRegion(f"iterate exited the component while solving x={x}")
     if status[0] != _SOLVE_OK:
-        raise NoConvergence(f"no convergence after 100 iterations at x={x}")
+        raise NoConvergence(f"no convergence after {NEWTON_MAX_ITER} iterations at x={x}")
     return ParamPoint(int(chart[0]), coords[0]), heights[0]
 
 
@@ -660,8 +655,8 @@ def extract(ctx: FrameContext, N: int, h: float = None,
             refine_check: bool = None) -> GraphSample:
     """Graph sample over the working ball on an N-per-axis grid.
 
-    Nodes are solved by continuation outward from the center in ring
-    blocks, each node seeded from its nearest solved neighbor.  Status
+    Nodes are solved by continuation outward from the center in blocks of
+    Chebyshev rings, each node seeded from a solved node further in.  Status
     semantics: multi_sheet when two separated region cells land in one
     grid cell, vertical when the tangent space has no slope matrix in the
     frame, uncovered when the solve failed or never reached the node.
@@ -670,6 +665,68 @@ def extract(ctx: FrameContext, N: int, h: float = None,
         raise ValueError("grid resolution must be at least 8")
     region = component(ctx, h, refine_check=refine_check)
     return _extract_on_region(ctx, region, N)
+
+
+def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
+                   coords, center, shape):
+    """Solve the nodes node_idx of a lattice of the given shape, targets
+    coords, in blocks of Chebyshev rings (max(1, max(shape) / 64) wide)
+    outward from center; the first block is seeded from the base point.
+
+    Returns (node_map, solved, p_chart, p_coords, heights).
+    """
+    m, k = node_idx.shape[1], ctx.immersion.k
+    P = len(node_idx)
+    hi = np.asarray(shape) - 1
+    node_map = np.full(shape, -1, dtype=np.int64)
+    node_map[tuple(node_idx.T)] = np.arange(P)
+
+    lvl = np.abs(node_idx - center).max(axis=1)
+    heights = np.zeros((P, k))
+    p_chart = np.zeros(P, dtype=np.int64)
+    p_coords = np.zeros((P, m))
+    solved = np.zeros(P, dtype=bool)
+
+    bw = max(1.0, max(shape) / 64.0)
+    block_of = np.floor(lvl / bw).astype(np.int64)
+
+    for b in np.unique(block_of):
+        rows = np.nonzero(block_of == b)[0]
+        if b == 0:
+            seeds_c = np.full(len(rows), ctx.base_point.chart, dtype=np.int64)
+            seeds_x = np.tile(ctx.base_point.coords, (len(rows), 1))
+            solve_rows = rows
+        else:
+            # Radial projection onto the outer solved ring, with a short
+            # walk toward the center as fallback.
+            li = lvl[rows]
+            scale = (b * bw - 0.5) / np.maximum(li, 1e-12)
+            proj = np.rint(center + (node_idx[rows] - center) * scale[:, None])
+            proj = np.clip(proj, 0, hi).astype(np.int64)
+            for _ in range(int(2 * bw) + 5):
+                seed_ids = node_map[tuple(proj.T)]
+                good = (seed_ids >= 0) & solved[np.clip(seed_ids, 0, P - 1)]
+                if good.all():
+                    break
+                stuck = ~good
+                move = np.sign(center - proj[stuck]).astype(np.int64)
+                proj[stuck] = np.clip(proj[stuck] + move, 0, hi)
+            solve_rows = rows[good]
+            if len(solve_rows) == 0:
+                continue
+            seeds = seed_ids[good]
+            seeds_c = p_chart[seeds]
+            seeds_x = p_coords[seeds]
+        st, cc, px, hh = _solve_batch(
+            ctx, region, coords[solve_rows], seeds_c, seeds_x
+        )
+        ok = st == _SOLVE_OK
+        done = solve_rows[ok]
+        solved[done] = True
+        heights[done] = hh[ok]
+        p_chart[done] = cc[ok]
+        p_coords[done] = px[ok]
+    return node_map, solved, p_chart, p_coords, heights
 
 
 def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
@@ -690,72 +747,18 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     node_idx = idx_all[keep]
     P = len(coords)
 
-    node_map = np.full((N,) * m, -1, dtype=np.int64)
-    node_map[tuple(node_idx.T)] = np.arange(P)
-
-    center = (N - 1) / 2.0
-    lvl = np.abs(node_idx - center).max(axis=1)
-    order = np.argsort(lvl, kind="stable")
-
+    node_map, solved, p_chart, p_coords, heights = _solve_lattice(
+        ctx, region, node_idx, coords, (N - 1) / 2.0, (N,) * m
+    )
     status = np.full(P, STATUS_UNCOVERED, dtype=np.int8)
-    heights = np.zeros((P, k))
-    p_chart = np.zeros(P, dtype=np.int64)
-    p_coords = np.zeros((P, m))
-    solved = np.zeros(P, dtype=bool)
-
-    bw = max(1.0, N / 64.0)
-    block_of = np.floor(lvl / bw).astype(np.int64)
-
-    for b in np.unique(block_of[order]):
-        rows = np.nonzero(block_of == b)[0]
-        if b == 0:
-            seeds_c = np.full(len(rows), ctx.base_point.chart, dtype=np.int64)
-            seeds_x = np.tile(ctx.base_point.coords, (len(rows), 1))
-            solve_rows = rows
-        else:
-            # Radial projection onto the outer solved ring, with a short
-            # walk toward the center as fallback.
-            li = lvl[rows]
-            scale = (b * bw - 0.5) / np.maximum(li, 1e-12)
-            proj = np.rint(center + (node_idx[rows] - center) * scale[:, None])
-            proj = np.clip(proj, 0, N - 1).astype(np.int64)
-            seed_ids = node_map[tuple(proj.T)]
-            good = (seed_ids >= 0) & solved[np.clip(seed_ids, 0, P - 1)]
-            for _ in range(int(2 * bw) + 4):
-                if good.all():
-                    break
-                stuck = ~good
-                move = np.sign(center - proj[stuck]).astype(np.int64)
-                proj[stuck] = np.clip(proj[stuck] + move, 0, N - 1)
-                seed_ids[stuck] = node_map[tuple(proj[stuck].T)]
-                good = (seed_ids >= 0) & solved[np.clip(seed_ids, 0, P - 1)]
-            solve_rows = rows[good]
-            if len(solve_rows) == 0:
-                continue
-            seeds = seed_ids[good]
-            seeds_c = p_chart[seeds]
-            seeds_x = p_coords[seeds]
-        st, cc, px, hh = _solve_batch(
-            ctx, region, coords[solve_rows], seeds_c, seeds_x
-        )
-        ok = st == _SOLVE_OK
-        done = solve_rows[ok]
-        status[done] = STATUS_OK
-        solved[done] = True
-        heights[done] = hh[ok]
-        p_chart[done] = cc[ok]
-        p_coords[done] = px[ok]
+    status[solved] = STATUS_OK
 
     # Exact derivatives from the tangent space at each solved parameter.
     du = np.full((P, k, m), np.nan)
     du_norm = np.full(P, np.nan)
-    ok_rows = np.nonzero(status == STATUS_OK)[0]
+    ok_rows = np.nonzero(solved)[0]
     if len(ok_rows):
-        jac = np.empty((len(ok_rows), f.n, m))
-        cs = p_chart[ok_rows]
-        for c in np.unique(cs):
-            sel = cs == c
-            jac[sel] = f.jacobian_chart(int(c), p_coords[ok_rows][sel])
+        jac = _per_chart(f.jacobian_chart, p_chart[ok_rows], p_coords[ok_rows])
         basis = _orthonormalize_batch(jac)
         framed = np.einsum("ij,bjl->bil", ctx.iso.rotation.T, basis)
         top = framed[:, :m, :]

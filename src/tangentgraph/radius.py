@@ -180,8 +180,7 @@ def _sample_spec(f: ParamImmersion, Q) -> dict:
 
 
 def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
-               N: int = None, cap: float = RADIUS_CAP,
-               check_monotone: bool = True) -> RadiusReport:
+               N: int = None) -> RadiusReport:
     """Maximal radius at which the graph property holds on the sample.
 
     Bisection from a doubling bracket, relying on restriction
@@ -213,14 +212,14 @@ def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
     r_init = 1e-6 * f.ambient_bbox_diag()
     if not passes(r_init):
         return RadiusReport(lam, kind, 0.0, r_init, "none_passing", tol, N,
-                            spec, cap, probes)
+                            spec, probes=probes)
 
     r_lo, r_hi = r_init, None
     while True:
-        if r_lo >= cap * (1 - 1e-12):
-            return RadiusReport(lam, kind, cap, float("inf"), "unbounded",
-                                tol, N, spec, cap, probes)
-        r_next = min(2.0 * r_lo, cap)
+        if r_lo >= RADIUS_CAP * (1 - 1e-12):
+            return RadiusReport(lam, kind, RADIUS_CAP, float("inf"), "unbounded",
+                                tol, N, spec, probes=probes)
+        r_next = min(2.0 * r_lo, RADIUS_CAP)
         if passes(r_next):
             r_lo = r_next
         else:
@@ -234,13 +233,12 @@ def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
         else:
             r_hi = mid
 
-    if check_monotone:
-        for rr in np.linspace(0.2, 0.8, 4) * r_lo:
-            if not passes(float(rr)):
-                raise MonotonicityViolation(
-                    f"property fails at r={rr:.6g} although it holds at the "
-                    f"larger radius {r_lo:.6g}; discretization is unsound here"
-                )
+    for rr in np.linspace(0.2, 0.8, 4) * r_lo:
+        if not passes(float(rr)):
+            raise MonotonicityViolation(
+                f"property fails at r={rr:.6g} although it holds at the "
+                f"larger radius {r_lo:.6g}; discretization is unsound here"
+            )
 
     return RadiusReport(lam, kind, r_lo, r_hi, "bracketed", tol, N, spec,
-                        cap, probes)
+                        probes=probes)

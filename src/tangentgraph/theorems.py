@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Inconclusive, InvalidParams, PreconditionViolated, ProbeHypothesisFailed
-# _extract_on_region and norms stay importable: the benchmark traces them here.
+# _extract_on_region, _solve_batch, norms: the benchmark traces them here.
 from .extractor import (  # noqa: F401
     FrameContext,
     _extract_on_region,
+    _per_chart,
     _solve_batch,
-    _SOLVE_OK,
+    _solve_lattice,
     component,
     norms,
 )
@@ -36,6 +37,10 @@ from .radius import (
     max_radius,
 )
 from .zoo import ParamImmersion, ParamPoint, tangent_space, zoo_build
+
+
+DISTANCE_PAIRS = 64  # sampled component points per distance check
+INCLUSION_POINTS = 12  # sampled points whose components must contain q's
 
 
 def lambda_cap(m: int) -> float:
@@ -139,8 +144,7 @@ def _subsample(items: list, count: int) -> list:
 
 
 def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
-                         r: float, lam: float, num_pairs: int = 64,
-                         N: int = None) -> bool:
+                         r: float, lam: float, N: int = None) -> bool:
     """Points of the rho-component stay within rho + r*lam of the base image.
 
     Grid slack of one cell (in ambient units) is allowed on top of the
@@ -155,7 +159,7 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     bound = rho + r * lam
     slack = region.h * region.sigma_max
     for chart, block in region.blocks.items():
-        centers = _subsample(list(block.center), max(2, num_pairs // max(1, len(region.blocks))))
+        centers = _subsample(list(block.center), max(2, DISTANCE_PAIRS // max(1, len(region.blocks))))
         amb = f.eval_chart(chart, np.stack(centers))
         dist = np.linalg.norm(amb - fq, axis=1)
         if (dist >= bound + slack).any():
@@ -163,8 +167,7 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     return True
 
 
-def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
-                    num_points: int = 12) -> bool:
+def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> bool:
     """The (2r/5)-component of q sits inside the r-component of each of its
     points, compared cell-by-cell on a shared parameter grid.
 
@@ -179,7 +182,7 @@ def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     seeds = []
     for chart, block in region_q.blocks.items():
         seeds.extend(ParamPoint(chart, c) for c in block.center)
-    for p in _subsample(seeds, num_points):
+    for p in _subsample(seeds, INCLUSION_POINTS):
         ctx_p = FrameContext.at(f, p, r)
         region_p = component(ctx_p, h=h_shared, refine_check=False)
         for chart, block in region_q.blocks.items():
@@ -227,13 +230,16 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     """Certify the slope bound on the fifth-radius ball via probe points.
 
     For each grid point x of the inner ball, the parameters under x and
-    under the axis-shifted points x + rho e_j are located, the shifted
-    images are projected orthogonally onto the affine tangent plane at the
-    point under x, and the normalized projections feed the probe-point
-    slope certificate with L = 8^-3 m^-1.5 lam / cap.  All computations
-    happen in the base-point frame.  The certificate must succeed at every
-    node when lam is below the threshold; a failed probe hypothesis is
-    reported with its node and axis.
+    under the axis-shifted points x + rho e_j are located by one
+    continuation over their node lattice, outward from the base point in
+    Chebyshev rings as extraction solves its grid; a node it cannot reach
+    raises PreconditionViolated naming the node.  The shifted images are
+    projected orthogonally onto the affine tangent plane at the point
+    under x, and the normalized projections feed the probe-point slope
+    certificate with L = 8^-3 m^-1.5 lam / cap.  All computations happen in
+    the base-point frame.  The certificate must succeed at every node when
+    lam is below the threshold; a failed probe hypothesis is reported with
+    its node and axis.
     """
     m, k = f.m, f.k
     cap = lambda_cap(m)
@@ -263,47 +269,26 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
 
     ctx2 = FrameContext(f, q, ctx.iso, 2.2 * rho)
     region = component(ctx2, refine_check=False)
-    solve_order = np.argsort(np.abs(all_idx).max(axis=1), kind="stable")
-    solved = {}
-    params = {}
-    for row in solve_order:
-        idx = all_idx[row]
-        x = idx * delta
-        if not solved:
-            seed_chart, seed_coords = q.chart, q.coords
-        else:
-            best = min(solved, key=lambda t: np.abs(np.array(t) - idx).sum())
-            seed_chart, seed_coords = params[best]
-        st, cc, px, hh = _solve_batch(
-            ctx2, region, x[None, :], np.array([seed_chart]),
-            np.asarray(seed_coords, dtype=float)[None, :],
+    lo = all_idx.min(axis=0)
+    node_map, solved, p_chart, p_coords, _ = _solve_lattice(
+        ctx2, region, all_idx - lo, all_idx * delta, -lo,
+        tuple(all_idx.max(axis=0) - lo + 1),
+    )
+    if not solved.all():
+        raise PreconditionViolated(
+            f"could not locate the parameter under node {all_idx[~solved][0] * delta}"
         )
-        if st[0] != _SOLVE_OK:
-            raise PreconditionViolated(
-                f"could not locate the parameter under node {x}"
-            )
-        key = tuple(int(v) for v in idx)
-        solved[key] = True
-        params[key] = (int(cc[0]), px[0])
-
-    def frame_point(key):
-        chart, coords = params[key]
-        return ctx.iso.inverse_apply(f.eval_chart(chart, coords))
+    frame = _per_chart(ctx.frame_coords, p_chart, p_coords)
+    base_rows = node_map[tuple((base_idx - lo).T)]
+    probe_rows = node_map[tuple((probe_idx - lo).T)].reshape(-1, m)
 
     per_node = []
-    for idx in base_idx:
-        key = tuple(int(v) for v in idx)
+    for idx, i, probe_i in zip(base_idx, base_rows, probe_rows):
         x = idx * delta
-        chart, coords = params[key]
-        plane = tangent_space(f, ParamPoint(chart, coords))
+        plane = tangent_space(f, ParamPoint(int(p_chart[i]), p_coords[i]))
         framed = Subspace(ctx.iso.rotation.T @ plane.basis)
-        fp = frame_point(key)
-        probes = []
-        for j in range(m):
-            pkey = tuple(int(v) for v in (idx + s * np.eye(m, dtype=int)[j]))
-            w = frame_point(pkey) - fp
-            proj = framed.basis @ (framed.basis.T @ w)
-            probes.append(proj / rho_eff)
+        probes = [framed.basis @ (framed.basis.T @ w) / rho_eff
+                  for w in frame[probe_i] - frame[i]]
         try:
             cert = graph_matrix_from_probes(framed, probes, bound_l)
         except PreconditionViolated as exc:

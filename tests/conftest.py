@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tangentgraph as tg
+from tangentgraph import extractor
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,19 @@ def torus_inner_outer(torus):
 
 def sphere_q_pair(sphere):
     return [sphere.point(4, [0.0, 0.0]), sphere.point(0, [0.1, -0.2])]
+
+
+def fail_outer_certifier_nodes(monkeypatch, r):
+    """Make the certifier's lattice solve, at radius 0.44 r below the c0
+    precheck's r, leave its outermost ring: 7 delta = 0.35 r out at the
+    default 4 nodes per rho."""
+    real = extractor._solve_batch
+
+    def solve(ctx, region, targets, seed_charts, seed_coords):
+        status, chart, coords, heights = real(ctx, region, targets,
+                                              seed_charts, seed_coords)
+        if ctx.radius < r:
+            status[np.abs(targets).max(axis=1) > 0.325 * r] = extractor._SOLVE_LEFT
+        return status, chart, coords, heights
+
+    monkeypatch.setattr(extractor, "_solve_batch", solve)

@@ -11,6 +11,8 @@ from tangentgraph.cli import (
     main,
 )
 
+from conftest import fail_outer_certifier_nodes
+
 
 def run(args, capsys):
     code = main(args)
@@ -123,6 +125,49 @@ class TestVerifyCommand:
         )
         assert code == EXIT_INVALID
         assert "--grid" in err
+
+    def test_du_cert_unlocated_node_is_invalid(self, capsys, monkeypatch):
+        fail_outer_certifier_nodes(monkeypatch, 1.9e-5)
+        code, _, err = run(
+            ["verify", "du-cert", "--immersion", "circle", "--R", "1",
+             "--lambda", "1e-5", "--r", "1.9e-5", "--q", "0"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "could not locate the parameter under node" in err
+
+    @pytest.mark.parametrize("statement,args,stray", [
+        ("du-cert", ["--r", "1.9e-5", "--q", "0", "--rho", "5",
+                     "--samples", "3", "--tol", "0.05"],
+         ["--rho", "--samples", "--tol"]),
+        ("theorem", ["--rho", "5", "--r", "3", "--q", "0.4"],
+         ["--q", "--r", "--rho"]),
+        ("enlargement", ["--r", "0.04", "--tol", "1e-3", "--chart", "0"],
+         ["--chart", "--tol"]),
+        ("distance", ["--r", "0.1", "--samples", "3"], ["--samples"]),
+        ("inclusion", ["--r", "0.19", "--tol", "0.01", "--grid", "64"],
+         ["--grid", "--tol"]),
+    ])
+    def test_rejects_flags_the_statement_does_not_use(self, capsys, statement,
+                                                      args, stray):
+        code, _, err = run(
+            ["verify", statement, "--immersion", "circle", "--R", "1",
+             "--lambda", "1e-5"] + args,
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert f"verify {statement} does not use {', '.join(stray)}" in err
+
+    def test_rejects_unused_config_field(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": 5, "samples": 3}))
+        code, _, err = run(
+            ["verify", "du-cert", "--config", str(cfg), "--immersion",
+             "circle", "--lambda", "1e-5", "--r", "1.9e-5"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "does not use --rho, --samples" in err
 
     def test_bad_lambda_is_invalid(self, capsys):
         code, _, _ = run(

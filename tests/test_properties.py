@@ -42,11 +42,15 @@ def quadratic_graphs(draw):
     return f, q
 
 
-def graph_norms(f, q, r):
-    sample = tg.extract(tg.FrameContext.at(f, q, r), GRID, refine_check=False)
+def graph_sample(ctx):
+    sample = tg.extract(ctx, GRID, refine_check=False)
     counts = sample.status_counts()
     assert counts["ok"] == len(sample.status), counts
-    return tg.norms(sample)
+    return sample
+
+
+def graph_norms(f, q, r, iso=None):
+    return tg.norms(graph_sample(tg.FrameContext.at(f, q, r, iso=iso)))
 
 
 @PROPERTY_SETTINGS
@@ -69,6 +73,59 @@ def test_norms_invariant_under_rigid_motion(graph, r, seed):
     moved = graph_norms(tg.transform_immersion(f, iso), q, r)
     assert moved.c0 == pytest.approx(base.c0, rel=1e-6, abs=1e-12)
     assert moved.lip == pytest.approx(base.lip, rel=1e-6, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(quadratic_graphs(), st.floats(0.05, 0.4))
+def test_graph_function_reconstructs_the_immersion(graph, r):
+    # iso(x, u(x)) = f(p) up to the Newton tolerance on the frame projection
+    f, q = graph
+    ctx = tg.FrameContext.at(f, q, r)
+    sample = graph_sample(ctx)
+    rebuilt = ctx.iso.apply(np.concatenate([sample.coords, sample.heights], axis=1))
+    image = f.eval_chart(q.chart, sample.param_coords)
+    assert (sample.param_chart == q.chart).all()
+    err = np.linalg.norm(rebuilt - image, axis=1)
+    rounding = 1e-14 * (1.0 + np.linalg.norm(image, axis=1))
+    assert (err <= 1e-10 * max(1.0, r) + rounding).all(), err.max()
+
+
+@PROPERTY_SETTINGS
+@given(quadratic_graphs(), st.floats(0.05, 0.4))
+def test_exact_du_matches_central_differences(graph, r):
+    # a central difference over a span s is off by s^2 |u'''| / 24; the
+    # examples reach |u'''| of about 1 and the bound allows 6
+    f, q = graph
+    sample = graph_sample(tg.FrameContext.at(f, q, r))
+    node_map = np.full((GRID,) * f.m, -1)
+    node_map[tuple(sample.node_idx.T)] = np.arange(len(sample.node_idx))
+    checked = 0
+    for j, e in enumerate(np.eye(f.m, dtype=int)):
+        plus, minus = sample.node_idx + e, sample.node_idx - e
+        rows = np.nonzero((plus < GRID).all(axis=1) & (minus >= 0).all(axis=1))[0]
+        hi, lo = node_map[tuple(plus[rows].T)], node_map[tuple(minus[rows].T)]
+        both = (hi >= 0) & (lo >= 0)
+        rows, hi, lo = rows[both], hi[both], lo[both]
+        span = sample.coords[hi, j] - sample.coords[lo, j]
+        fd = (sample.heights[hi, 0] - sample.heights[lo, 0]) / span
+        assert np.abs(fd - sample.du[rows, 0, j]).max() <= 0.25 * span.max()**2
+        checked += len(rows)
+    assert checked >= 10
+
+
+@PROPERTY_SETTINGS
+@given(quadratic_graphs(), st.floats(0.05, 0.4), st.integers(0, 2**32 - 1))
+def test_norms_independent_of_the_admissible_frame(graph, r, seed):
+    # the grid turns with the frame, so the sup moves by up to the node
+    # spacing times the slope gradient: the tolerance of the torus test
+    f, q = graph
+    ctx = tg.FrameContext.at(f, q, r)
+    iso = tg.randomize_admissible(ctx.iso, f.m, np.random.default_rng(seed))
+    base = graph_norms(f, q, r)
+    turned = graph_norms(f, q, r, iso=iso)
+    tol = 20.0 * (r / GRID)
+    assert abs(turned.c0 - base.c0) <= tol
+    assert abs(turned.lip - base.lip) <= tol
 
 
 def refuses(check) -> bool:

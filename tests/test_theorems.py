@@ -5,8 +5,27 @@ import pytest
 
 import tangentgraph as tg
 from tangentgraph import Inconclusive, InvalidParams, PreconditionViolated
+from tangentgraph import extractor
 
-from conftest import cached_max_radius, circle_r1
+from conftest import cached_max_radius, circle_r1, fail_outer_certifier_nodes
+
+
+def certifier_lattice(f, q, r, s):
+    """The certifier's nodes (the rho-ball and its axis shifts), solved as
+    certify_du_bound solves them; returns (context, targets, solution)."""
+    rho = r / 5.0
+    delta = rho / s
+    mesh = np.meshgrid(*[np.arange(-(s - 1), s)] * f.m, indexing="ij")
+    base = np.stack([g.ravel() for g in mesh], axis=-1)
+    base = base[np.linalg.norm(base * delta, axis=1) < rho]
+    shifted = [base + s * e for e in np.eye(f.m, dtype=int)]
+    nodes = np.unique(np.concatenate([base] + shifted), axis=0)
+    ctx = tg.FrameContext(f, q, tg.FrameContext.at(f, q, r).iso, 2.2 * rho)
+    region = tg.component(ctx, refine_check=False)
+    lo = nodes.min(axis=0)
+    solution = extractor._solve_lattice(ctx, region, nodes - lo, nodes * delta,
+                                        -lo, tuple(nodes.max(axis=0) - lo + 1))
+    return ctx, nodes * delta, solution
 
 
 class TestLambdaCap:
@@ -156,6 +175,25 @@ class TestDuCertifier:
     def test_rejects_large_height_bound(self, circle):
         with pytest.raises(PreconditionViolated):
             tg.certify_du_bound(circle, circle.point(0, [0.0]), 0.1, 0.5)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_lattice_continuation_solves_every_node(self, circle, sphere, m):
+        # m = 2 at 12 nodes per rho: three overlapping discs, 960 nodes
+        if m == 1:
+            f, q, r, s = circle, circle.point(0, [0.0]), 1.9e-5, 4
+        else:
+            f, q, r, s = sphere, sphere.point(4, [0.0, 0.0]), 4e-6, 12
+        ctx, targets, (_, solved, chart, coords, _) = certifier_lattice(f, q, r, s)
+        assert solved.all()
+        frame = extractor._per_chart(ctx.frame_coords, chart, coords)
+        err = np.linalg.norm(frame[:, :m] - targets, axis=1)
+        assert err.max() <= 1e-10 * max(1.0, ctx.radius)
+
+    def test_unlocated_node_is_named(self, circle, monkeypatch):
+        fail_outer_certifier_nodes(monkeypatch, 1.9e-5)
+        with pytest.raises(PreconditionViolated,
+                           match="could not locate the parameter under node"):
+            tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5, 1e-5)
 
     def test_precondition_check_runs(self, circle):
         # the height bound fails at this radius, so the hypothesis is refused
