@@ -7,13 +7,16 @@ regular grid by continuation outward from the center.  Derivatives come
 from the exact tangent space at each solved parameter, not from height
 differencing.
 
-All heavy steps are vectorized over grid nodes; shared inputs stay
-immutable, so callers may run many contexts concurrently.
+All heavy steps are vectorized over grid nodes and cells.  The component
+is stored per chart as a sorted array of packed cell keys, so membership
+tests and the flood's visited set are binary searches.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,16 +84,40 @@ class _CellBlock:
     sigma: np.ndarray    # (C,) largest Jacobian singular value at the centers
 
 
-def _pack_keys(idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mixed-radix int64 key per cell index row; -1 for out-of-range rows."""
-    idx = np.atleast_2d(idx)
-    key = np.zeros(idx.shape[0], dtype=np.int64)
-    valid = np.ones(idx.shape[0], dtype=bool)
+def _cell_index(chart, size, coords) -> np.ndarray:
+    """Integer cell of each row of parameter coords, periodic axes unwrapped."""
+    return np.floor((np.atleast_2d(coords) - chart.lo) / size).astype(np.int64)
+
+
+def _pack_keys(idx: np.ndarray, counts: np.ndarray, periodic) -> np.ndarray:
+    """Mixed-radix int64 key per cell index row, periodic axes wrapped;
+    -1 for rows outside the chart's cell range."""
+    key = np.zeros(len(idx), dtype=np.int64)
+    valid = np.ones(len(idx), dtype=bool)
     for d in range(idx.shape[1]):
-        valid &= (idx[:, d] >= 0) & (idx[:, d] < counts[d])
-        key = key * np.int64(counts[d]) + idx[:, d]
+        col = idx[:, d]
+        if periodic[d]:
+            col = np.mod(col, counts[d])
+        else:
+            valid &= (col >= 0) & (col < counts[d])
+        key = key * np.int64(counts[d]) + col
     key[~valid] = -1
     return key
+
+
+def _in_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Which probe keys occur in the sorted key array."""
+    pos = np.searchsorted(keys, probe)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == probe[hit]
+    return hit
+
+
+@functools.cache
+def _halo_offsets(m: int) -> np.ndarray:
+    """The 3^m - 1 nonzero cell offsets of the one-cell halo."""
+    off = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int64)
+    return off[off.any(axis=1)]
 
 
 @dataclass
@@ -102,56 +129,35 @@ class ComponentRegion:
     cell_counts: dict           # chart -> (m,) int cells per axis
     blocks: dict                # chart -> _CellBlock
     sigma_max: float
-    charts: list = field(repr=False, default=None)
-    _sets: dict = field(repr=False, default=None)
+    charts: list = field(repr=False)
+    keys: dict = field(init=False, repr=False)  # chart -> sorted int64 cell keys
 
     def __post_init__(self):
-        if self._sets is None:
-            self._sets = {
-                c: set(_pack_keys(b.idx, self.cell_counts[c]).tolist())
-                for c, b in self.blocks.items()
-            }
+        self.keys = {
+            c: np.sort(_pack_keys(b.idx, self.cell_counts[c], self.charts[c].periodic))
+            for c, b in self.blocks.items()
+        }
 
     @property
     def total_cells(self) -> int:
         return sum(len(b.idx) for b in self.blocks.values())
 
-    def cell_index(self, chart: int, coords) -> np.ndarray:
-        """Integer cell of parameter coords (periodic axes wrapped)."""
+    def contains(self, chart: int, coords) -> np.ndarray:
+        """Cell membership with a one-cell halo: a row is inside when its
+        cell or one of the 3^m - 1 cells around it belongs to the region."""
+        coords = np.atleast_2d(coords)
+        keys = self.keys.get(chart)
+        if keys is None:
+            return np.zeros(len(coords), dtype=bool)
         ch = self.charts[chart]
-        size = self.cell_sizes[chart]
         counts = self.cell_counts[chart]
-        c = np.atleast_2d(np.asarray(coords, dtype=float))
-        idx = np.floor((c - ch.lo) / size).astype(np.int64)
-        for d in range(ch.dim):
-            if ch.periodic[d]:
-                idx[:, d] = np.mod(idx[:, d], counts[d])
-        return idx
-
-    def contains(self, chart: int, coords, halo: int = 0) -> np.ndarray:
-        """Vectorized cell membership, optionally tolerating a 1-cell halo."""
-        if chart not in self._sets:
-            return np.zeros(np.atleast_2d(coords).shape[0], dtype=bool)
-        cells = self._sets[chart]
-        counts = self.cell_counts[chart]
-        ch = self.charts[chart]
-        idx = self.cell_index(chart, coords)
-        out = np.zeros(idx.shape[0], dtype=bool)
-        offsets = [np.zeros(idx.shape[1], dtype=np.int64)]
-        if halo:
-            mesh = np.meshgrid(*([np.arange(-halo, halo + 1)] * idx.shape[1]),
-                               indexing="ij")
-            offsets = np.stack([g.ravel() for g in mesh], axis=-1)
-        for off in offsets:
-            probe = idx + off
-            for d in range(ch.dim):
-                if ch.periodic[d]:
-                    probe[:, d] = np.mod(probe[:, d], counts[d])
-            keys = _pack_keys(probe, counts)
-            pending = ~out
-            for i in np.nonzero(pending)[0]:
-                if keys[i] in cells:
-                    out[i] = True
+        idx = _cell_index(ch, self.cell_sizes[chart], coords)
+        out = _in_sorted(keys, _pack_keys(idx, counts, ch.periodic))
+        rest = np.nonzero(~out)[0]
+        if len(rest):
+            probe = (idx[rest, None, :] + _halo_offsets(ch.dim)).reshape(-1, ch.dim)
+            near = _in_sorted(keys, _pack_keys(probe, counts, ch.periodic))
+            out[rest] = near.reshape(len(rest), -1).any(axis=1)
         return out
 
 
@@ -263,90 +269,71 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
     def centers_of(ci, idx):
         return charts[ci].lo + (idx.astype(float) + 0.5) * cell_sizes[ci]
 
-    visited = {ci: set() for ci in range(len(charts))}
+    def cells_of(ci, keys):
+        return np.stack(np.unravel_index(keys, cell_counts[ci]), axis=1)
+
+    def keys_of(ci, idx):
+        return _pack_keys(idx, cell_counts[ci], charts[ci].periodic)
+
+    def keys_at(ci, coords):
+        """Keys of the cells under parameter coords of chart ci; on a bounded
+        axis, a point past the last whole cell gets the last cell."""
+        idx = _cell_index(charts[ci], cell_sizes[ci], coords)
+        bounded = ~np.asarray(charts[ci].periodic)
+        idx[:, bounded] = np.clip(idx[:, bounded], 0, cell_counts[ci][bounded] - 1)
+        return keys_of(ci, idx)
+
+    visited = {ci: np.zeros(0, dtype=np.int64) for ci in range(len(charts))}
     accepted = {ci: [] for ci in range(len(charts))}
     unit = np.eye(m, dtype=np.int64)
 
-    def classify(ci, idx):
-        """Split candidate cells into in-domain and out-of-domain."""
-        counts = cell_counts[ci]
-        ch = charts[ci]
-        idx = idx.copy()
-        for d in range(m):
-            if ch.periodic[d]:
-                idx[:, d] = np.mod(idx[:, d], counts[d])
-        in_range = np.ones(len(idx), dtype=bool)
-        for d in range(m):
-            if not ch.periodic[d]:
-                in_range &= (idx[:, d] >= 0) & (idx[:, d] < counts[d])
-        cen = np.full((len(idx), m), np.nan)
-        cen[in_range] = centers_of(ci, idx[in_range])
-        if ch.inside is not None and in_range.any():
-            sub = in_range.copy()
-            sub[in_range] = ch.inside(cen[in_range])
-            in_range = sub
-        return idx, in_range, cen
+    def in_domain(ci, keys):
+        """Mask of the keys whose cell lies in chart ci's valid set."""
+        ok = keys >= 0
+        inside = charts[ci].inside
+        if inside is not None and ok.any():
+            ok[ok] = inside(centers_of(ci, cells_of(ci, keys[ok])))
+        return ok
 
-    def evaluate_cells(ci, idx, cen):
-        """Frame data for new cells; returns acceptance mask and payload."""
+    def admit(ci, keys):
+        """Evaluate the unvisited cells of keys in first-occurrence order;
+        store and return the indices of those inside the ball."""
+        uniq, first = np.unique(keys, return_index=True)
+        fresh = ~_in_sorted(visited[ci], uniq)
+        if not fresh.any():
+            return np.zeros((0, m), dtype=np.int64)
+        new = uniq[fresh]
+        visited[ci] = np.insert(visited[ci], np.searchsorted(visited[ci], new), new)
+        idx = cells_of(ci, keys[np.sort(first[fresh])])
+        cen = centers_of(ci, idx)
         y = ctx.frame_coords(ci, cen)
         x_c = y[:, :m]
         u_c = y[:, m:]
         sig, _ = _singular_extremes(f.jacobian_chart(ci, cen))
         ok = np.linalg.norm(x_c, axis=1) < r
-        return ok, x_c, u_c, sig
-
-    def admit(ci, idx):
-        """Filter unvisited cells, evaluate them, and store acceptances."""
-        if len(idx) == 0:
-            return np.zeros((0, m), dtype=np.int64)
-        seen = visited[ci]
-        keys = _pack_keys(idx, cell_counts[ci])
-        fresh_rows = []
-        for i, kv in enumerate(keys.tolist()):
-            if kv not in seen:
-                seen.add(kv)
-                fresh_rows.append(i)
-        if not fresh_rows:
-            return np.zeros((0, m), dtype=np.int64)
-        idx = idx[fresh_rows]
-        cen = centers_of(ci, idx)
-        ok, x_c, u_c, sig = evaluate_cells(ci, idx, cen)
         if ok.any():
             accepted[ci].append((idx[ok], cen[ok], x_c[ok], u_c[ok], sig[ok]))
         return idx[ok]
 
     # Seed with the base point's cell.
     base = ctx.base_point
-    bidx = np.floor(
-        (base.coords - charts[base.chart].lo) / cell_sizes[base.chart]
-    ).astype(np.int64)[None, :]
-    for d in range(m):
-        if charts[base.chart].periodic[d]:
-            bidx[0, d] = np.mod(bidx[0, d], cell_counts[base.chart][d])
-    frontier = {base.chart: admit(base.chart, bidx)}
-    if sum(len(v) for v in frontier.values()) == 0:
+    frontier = {base.chart: admit(base.chart, keys_at(base.chart, base.coords))}
+    if len(frontier[base.chart]) == 0:
         raise GeometryError("base cell rejected; radius too small for the grid step")
 
-    total = 1
-    while any(len(v) for v in frontier.values()):
+    while frontier:
         next_frontier = {}
         escapes = []  # (chart, source cell index row)
         for ci, idxs in frontier.items():
-            if len(idxs) == 0:
-                continue
             nbr = np.concatenate([idxs + u for u in unit] + [idxs - u for u in unit])
             src = np.concatenate([idxs] * (2 * m))
-            nbr, in_dom, _ = classify(ci, nbr)
-            out_dom = ~in_dom
-            if out_dom.any():
-                escapes.extend((ci, tuple(s)) for s in src[out_dom].tolist())
-            grown = admit(ci, nbr[in_dom])
+            keys = keys_of(ci, nbr)
+            in_dom = in_domain(ci, keys)
+            if not in_dom.all():
+                escapes.extend((ci, tuple(s)) for s in src[~in_dom].tolist())
+            grown = admit(ci, keys[in_dom])
             if len(grown):
                 next_frontier.setdefault(ci, []).append(grown)
-
-        for ci, rows in list(next_frontier.items()):
-            next_frontier[ci] = np.concatenate(rows)
 
         if escapes:
             relocated = {}
@@ -363,24 +350,14 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
                     raise BoundaryEscape(
                         f"no chart continues the component beyond chart {ci}"
                     )
-                tidx = np.floor(
-                    (target.coords - charts[target.chart].lo)
-                    / cell_sizes[target.chart]
-                ).astype(np.int64)
-                relocated.setdefault(target.chart, []).append(tidx)
-            for ci, rows in relocated.items():
-                grown = admit(ci, np.stack(rows))
+                relocated.setdefault(target.chart, []).append(target.coords)
+            for ci, coords in relocated.items():
+                grown = admit(ci, keys_at(ci, np.stack(coords)))
                 if len(grown):
-                    next_frontier.setdefault(ci, [])
-                    next_frontier[ci] = (
-                        np.concatenate([next_frontier[ci], grown])
-                        if len(next_frontier[ci])
-                        else grown
-                    )
+                    next_frontier.setdefault(ci, []).append(grown)
 
-        frontier = next_frontier
-        total = sum(len(v) for v in visited.values())
-        if total > CELL_BUDGET:
+        frontier = {ci: np.concatenate(rows) for ci, rows in next_frontier.items()}
+        if sum(len(v) for v in visited.values()) > CELL_BUDGET:
             raise GeometryError(
                 f"component exceeded the cell budget ({CELL_BUDGET}); "
                 "refine the radius or the grid step"
@@ -537,8 +514,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                     coords[row] = target.coords
 
         # Region escape bookkeeping.
-        inside = _per_chart(lambda c, x: region.contains(c, x, halo=1),
-                            chart[act_idx], coords[act_idx])
+        inside = _per_chart(region.contains, chart[act_idx], coords[act_idx])
         strikes[act_idx[inside]] = 0
         strikes[act_idx[~inside]] += 1
         left = strikes >= 2
@@ -553,17 +529,15 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
 
 def _constrain_to_charts(f, charts_arr, cur, cand):
     """Wrap periodic axes; shrink steps that exit a chart's valid set."""
-    out = cand.copy()
-    for c in np.unique(charts_arr):
-        ch = f.charts[int(c)]
-        rows = charts_arr == c
-        cc = out[rows]
+    m = cur.shape[1]
+
+    def constrain(c, rows):
+        ch = f.charts[c]
+        start, cc = rows[:, :m], rows[:, m:]
         if all(ch.periodic) and ch.inside is None:
-            out[rows] = ch.wrap(cc)
-            continue
+            return ch.wrap(cc)
         ok = ch.contains(cc)
         if not ok.all():
-            start = cur[rows]
             delta = cc - start
             factor = np.ones(len(cc))
             for _ in range(8):
@@ -574,8 +548,9 @@ def _constrain_to_charts(f, charts_arr, cur, cand):
                 cc[bad] = start[bad] + factor[bad, None] * delta[bad]
                 ok[bad] = ch.contains(cc[bad])
             cc[~ok] = start[~ok]
-        out[rows] = ch.wrap(cc)
-    return out
+        return ch.wrap(cc)
+
+    return _per_chart(constrain, charts_arr, np.hstack([cur, cand]))
 
 
 def solve_height(ctx: FrameContext, region: ComponentRegion, x,
@@ -588,7 +563,7 @@ def solve_height(ctx: FrameContext, region: ComponentRegion, x,
     x = np.asarray(x, dtype=float).reshape(-1)
     if np.linalg.norm(x) >= ctx.radius:
         raise ValueError("target lies outside the open working ball")
-    if not region.contains(seed.chart, seed.coords[None, :], halo=1)[0]:
+    if not region.contains(seed.chart, seed.coords)[0]:
         raise ValueError("seed parameter is not inside the component region")
     status, chart, coords, heights = _solve_batch(
         ctx, region, x[None, :], np.array([seed.chart]), seed.coords[None, :]
@@ -796,7 +771,7 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     )
 
 
-def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> list:
+def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> np.ndarray:
     """Raveled grid-cell keys where two separated sheets coincide.
 
     Two region cells binned to the same grid cell whose heights differ by
@@ -805,7 +780,7 @@ def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> list:
     what a single sloped sheet can span across one bin.
     """
     if region.total_cells == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     delta = 2 * a / (N - 1)
     noise_scale = max(region.h, delta)
     x_c = np.concatenate([b.x for b in region.blocks.values()])
@@ -825,7 +800,7 @@ def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> list:
     sig_max = np.maximum.reduceat(sig_s, starts)
     gaps = (u_max - u_min).max(axis=1)
     hit = (ends - starts >= 2) & (gaps > 10.0 * noise_scale * sig_max)
-    return [int(v) for v in key_s[starts[hit]]]
+    return key_s[starts[hit]]
 
 
 def second_sheet_present(region: ComponentRegion, radius: float, N: int,
@@ -836,23 +811,14 @@ def second_sheet_present(region: ComponentRegion, radius: float, N: int,
     grid node exists inside the open ball count).
     """
     a = radius * (1 - 2e-9)
-    keys = _sheet_gap_keys(region, a, N, m)
-    if not keys:
-        return False
-    axis = np.linspace(-a, a, N)
-    for keyval in keys:
-        idx = np.unravel_index(keyval, (N,) * m)
-        coords = np.array([axis[i] for i in idx])
-        if np.linalg.norm(coords) < radius * (1 - 1e-9):
-            return True
-    return False
+    idx = np.unravel_index(_sheet_gap_keys(region, a, N, m), (N,) * m)
+    coords = np.linspace(-a, a, N)[np.stack(idx, axis=-1)]
+    return bool((np.linalg.norm(coords, axis=1) < radius * (1 - 1e-9)).any())
 
 
 def _mark_multi_sheet(region: ComponentRegion, status, node_map, a, N, m):
-    for keyval in _sheet_gap_keys(region, a, N, m):
-        node = node_map[np.unravel_index(keyval, (N,) * m)]
-        if node >= 0:
-            status[node] = STATUS_MULTI_SHEET
+    nodes = node_map[np.unravel_index(_sheet_gap_keys(region, a, N, m), (N,) * m)]
+    status[nodes[nodes >= 0]] = STATUS_MULTI_SHEET
 
 
 def norms(sample: GraphSample) -> NormEstimates:

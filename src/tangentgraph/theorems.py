@@ -186,7 +186,7 @@ def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> b
         ctx_p = FrameContext.at(f, p, r)
         region_p = component(ctx_p, h=h_shared, refine_check=False)
         for chart, block in region_q.blocks.items():
-            inside = region_p.contains(chart, block.center, halo=1)
+            inside = region_p.contains(chart, block.center)
             if not inside.all():
                 return False
     return True

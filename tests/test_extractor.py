@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,108 @@ class TestComponent:
         monkeypatch.setattr(extractor, "CELL_BUDGET", 10)
         with pytest.raises(GeometryError, match="cell budget"):
             tg.component(circle_ctx(circle, 0.5))
+
+
+@pytest.fixture(scope="module")
+def regions(circle, sphere, torus):
+    """Components that cross a periodic seam (torus, circle) or two charts
+    (sphere), keyed by name."""
+    cases = {
+        "torus-seam": (torus, torus.point(0, [0.3, math.pi - 1e-3]), 0.2),
+        "sphere-two-charts": (sphere, sphere.point(4, [0.8, 0.1]), 0.3),
+        "circle-seam": (circle, circle.point(0, [3.0]), 0.5),
+    }
+    return {
+        name: (q, tg.component(tg.FrameContext.at(f, q, r), refine_check=False))
+        for name, (f, q, r) in cases.items()
+    }
+
+
+def point_cells(region, chart, coords):
+    ch = region.charts[chart]
+    idx = np.floor((coords - ch.lo) / region.cell_sizes[chart]).astype(np.int64)
+    counts = region.cell_counts[chart]
+    return [tuple(int(i) % int(n) if per else int(i)
+                  for i, n, per in zip(row, counts, ch.periodic))
+            for row in idx]
+
+
+def halo_cells(region, chart):
+    """Brute-force reference: every region cell of the chart grown by one
+    cell along each axis, periodic axes wrapped."""
+    ch = region.charts[chart]
+    counts = region.cell_counts[chart]
+    cells = set()
+    for row in region.blocks[chart].idx.tolist():
+        for off in itertools.product((-1, 0, 1), repeat=len(row)):
+            cells.add(tuple((i + o) % int(n) if per else i + o
+                            for i, o, n, per in zip(row, off, counts, ch.periodic)))
+    return cells
+
+
+class TestRegionMembership:
+    @pytest.mark.parametrize("name", ["torus-seam", "sphere-two-charts",
+                                      "circle-seam"])
+    def test_contains_matches_brute_force(self, regions, name):
+        _, region = regions[name]
+        rng = np.random.default_rng(3)
+        for chart, block in region.blocks.items():
+            m = block.idx.shape[1]
+            own = set(map(tuple, block.idx.tolist()))
+            reference = halo_cells(region, chart)
+            # points jittered inside cells up to two cells from the region
+            offsets = np.array(list(itertools.product(range(-2, 3), repeat=m)))
+            near = (block.idx[:, None, :] + offsets).reshape(-1, m)
+            near = near[rng.choice(len(near), min(len(near), 20000), replace=False)]
+            jitter = rng.uniform(-0.4, 0.4, near.shape)
+            coords = region.charts[chart].lo + (near + 0.5 + jitter) * region.cell_sizes[chart]
+            cells = point_cells(region, chart, coords)
+            expected = np.array([c in reference for c in cells])
+            one_out = np.array([c not in own for c in cells]) & expected
+            assert one_out.any() and not expected.all()
+            assert np.array_equal(region.contains(chart, coords), expected)
+
+    def test_halo_is_one_cell(self, regions):
+        q, region = regions["circle-seam"]
+        block = region.blocks[0]
+        size = region.cell_sizes[0]
+        upper = block.center[np.argmax(np.mod(block.center[:, 0] - q.coords[0] + math.pi,
+                                               2 * math.pi))]
+        assert region.contains(0, upper + size).all()
+        assert not region.contains(0, upper + 2 * size).any()
+
+    def test_untouched_chart_is_outside(self, regions):
+        _, region = regions["sphere-two-charts"]
+        assert sorted(region.blocks) == [0, 4]
+        coords = np.random.default_rng(5).uniform(-0.5, 0.5, (200, 2))
+        assert not region.contains(1, coords).any()
+
+    @pytest.mark.parametrize("name", ["torus-seam", "sphere-two-charts"])
+    def test_flood_accepts_each_cell_once(self, regions, name):
+        q, region = regions[name]
+        for block in region.blocks.values():
+            assert len(np.unique(block.idx, axis=0)) == len(block.idx)
+        first = region.blocks[q.chart].idx[0]
+        assert tuple(first) == point_cells(region, q.chart, q.coords[None, :])[0]
+
+    def test_base_point_past_the_last_whole_cell(self, sphere):
+        # chart 0 spans [-0.9, 0.9]; this step fits 400 whole cells per axis
+        # and leaves a half-cell sliver below 0.9
+        h = 1.8 / 400.5
+        q = sphere.point(0, [0.9 - 0.25 * h, 0.0])
+        region = tg.component(tg.FrameContext.at(sphere, q, 0.2), h=h)
+        last = region.cell_counts[0][0] - 1
+        assert last == 399
+        assert region.blocks[0].idx[0][0] == last
+        assert (region.blocks[0].idx[:, 0] <= last).all()
+        assert region.contains(0, q.coords)[0]
+        assert not region.contains(0, [5.0, 5.0])[0]
+
+    def test_torus_region_crosses_the_seam(self, regions):
+        _, region = regions["torus-seam"]
+        column = region.blocks[0].idx[:, 1]
+        assert column.min() == 0
+        assert column.max() == region.cell_counts[0][1] - 1
 
 
 class TestSolveHeight:
