@@ -20,7 +20,6 @@ from .errors import (
     Inconclusive,
     InvalidParams,
     PreconditionViolated,
-    ProbeHypothesisFailed,
     UnknownEntry,
 )
 from .extractor import FrameContext, extract
@@ -43,19 +42,9 @@ EXIT_INVALID = 3
 
 SCHEMA_VERSION = 1
 
+# Every zoo parameter is a flag, typed like its default value.
 _ENTRY_FLAGS = {
-    "R": float,
-    "R_maj": float,
-    "r_min": float,
-    "pitch": float,
-    "eps": float,
-    "delta": float,
-    "m": int,
-    "k": int,
-    "coeff": float,
-    "extent": float,
-    "window": float,
-    "margin": float,
+    name: type(value) for entry in ZOO.values() for name, value in entry.defaults.items()
 }
 
 
@@ -318,33 +307,20 @@ def _cmd_counterexample(cfg) -> int:
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
+_COMMANDS = {"zoo": _cmd_zoo, "extract": _cmd_extract, "radii": _cmd_radii,
+             "verify": _cmd_verify, "counterexample": _cmd_counterexample}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _merge_config(args)
-        command = cfg.get("command")
-        if command == "zoo":
-            return _cmd_zoo(cfg)
-        if command == "extract":
-            return _cmd_extract(cfg)
-        if command == "radii":
-            return _cmd_radii(cfg)
-        if command == "verify":
-            return _cmd_verify(cfg)
-        if command == "counterexample":
-            return _cmd_counterexample(cfg)
-        raise InvalidParams(f"unknown command {command!r}")
-    except SystemExit2 as exc:
+        cfg = _merge_config(parser.parse_args(argv))
+        return _COMMANDS[cfg["command"]](cfg)
+    except (SystemExit2, InvalidParams, UnknownEntry, PreconditionViolated,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (InvalidParams, UnknownEntry, PreconditionViolated, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (Inconclusive, ProbeHypothesisFailed) as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except GeometryError as exc:
+    except GeometryError as exc:  # Inconclusive, ProbeHypothesisFailed, ...
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

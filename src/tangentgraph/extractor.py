@@ -28,7 +28,8 @@ from .errors import (
     NoConvergence,
     NotAGraph,
 )
-from .geometry import Isometry, is_admissible, make_admissible_isometry
+from .geometry import (Isometry, _orthonormalize_batch, _singular_extremes, graph_slopes,
+                       is_admissible, make_admissible_isometry)
 from .zoo import ParamImmersion, ParamPoint, tangent_space
 
 STATUS_OK = 0
@@ -37,7 +38,6 @@ STATUS_MULTI_SHEET = 2
 STATUS_UNCOVERED = 3
 STATUS_NAMES = ("ok", "vertical", "multi_sheet", "uncovered")
 
-VERTICAL_RANK_TOL = 1e-9
 CELL_BUDGET = 5_000_000
 
 NEWTON_MAX_ITER = 100
@@ -159,44 +159,6 @@ class ComponentRegion:
             near = _in_sorted(keys, _pack_keys(probe, counts, ch.periodic))
             out[rest] = near.reshape(len(rest), -1).any(axis=1)
         return out
-
-
-def _singular_extremes(mat: np.ndarray):
-    """(sigma_max, sigma_min) per stacked matrix, closed forms for m <= 2."""
-    m = mat.shape[-1]
-    if m == 1:
-        s = np.linalg.norm(mat[..., 0], axis=-1)
-        return s, s
-    if m == 2:
-        g = np.einsum("...ji,...jk->...ik", mat, mat)
-        half_tr = 0.5 * (g[..., 0, 0] + g[..., 1, 1])
-        disc = np.sqrt(
-            np.maximum(0.25 * (g[..., 0, 0] - g[..., 1, 1]) ** 2
-                       + g[..., 0, 1] ** 2, 0.0)
-        )
-        return (np.sqrt(np.maximum(half_tr + disc, 0.0)),
-                np.sqrt(np.maximum(half_tr - disc, 0.0)))
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return svals[..., 0], svals[..., -1]
-
-
-def _orthonormalize_batch(jac: np.ndarray) -> np.ndarray:
-    """Orthonormal column basis per stacked Jacobian."""
-    m = jac.shape[-1]
-    if m == 1:
-        return jac / np.linalg.norm(jac, axis=-2, keepdims=True)
-    if m == 2:
-        a = jac[..., 0]
-        b = jac[..., 1]
-        q1 = a / np.linalg.norm(a, axis=-1, keepdims=True)
-        w = b - np.sum(q1 * b, axis=-1, keepdims=True) * q1
-        w = w - np.sum(q1 * w, axis=-1, keepdims=True) * q1
-        q2 = w / np.linalg.norm(w, axis=-1, keepdims=True)
-        return np.stack([q1, q2], axis=-1)
-    q, r = np.linalg.qr(jac)
-    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    sign[sign == 0] = 1.0
-    return q * sign[..., None, :]
 
 
 def _per_chart(fn, charts, coords) -> np.ndarray:
@@ -476,33 +438,28 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
         jg = np.einsum("ij,bjl->bil", ctx.iso.rotation.T[:m], jac)
         step = _solve_linear(jg, g)
 
-        cur = coords[act_idx]
-        best = None
-        factor = np.ones(len(act_idx))
-        for attempt, scale_try in enumerate((1.0, 0.5, 0.25)):
-            if attempt == 0:
-                trial_factor = factor
-            else:
-                trial_factor = np.where(improved, factor, factor * 0.5)
-            cand = cur - trial_factor[:, None] * step
-            cand = _constrain_to_charts(f, chart[act_idx], cur, cand)
-            yc = _per_chart(ctx.frame_coords, cs, cand)
-            res_new = np.linalg.norm(yc[:, :m] - targets[act_idx], axis=1)
-            if best is None:
-                best = (cand.copy(), res_new.copy())
-                improved = res_new <= res * (1 - 1e-4)
-            else:
-                better = res_new < best[1]
-                best[0][better] = cand[better]
-                best[1][better] = res_new[better]
-                improved |= res_new <= res * (1 - 1e-4)
-            factor = trial_factor
-            if improved.all():
+        # Backtracking: rows whose residual did not drop retry at half and
+        # then a quarter of the step, keeping their best candidate.
+        cur, tgt = coords[act_idx], targets[act_idx]
+        best = _constrain_to_charts(f, cs, cur, cur - step)
+        yc = _per_chart(ctx.frame_coords, cs, best)
+        best_res = np.linalg.norm(yc[:, :m] - tgt, axis=1)
+        retry = np.nonzero(~(best_res <= res * (1 - 1e-4)))[0]
+        for scale in (0.5, 0.25):
+            if not len(retry):
                 break
-        coords[act_idx] = best[0]
+            cand = _constrain_to_charts(f, cs[retry], cur[retry],
+                                        cur[retry] - scale * step[retry])
+            yc = _per_chart(ctx.frame_coords, cs[retry], cand)
+            res_new = np.linalg.norm(yc[:, :m] - tgt[retry], axis=1)
+            better = res_new < best_res[retry]
+            best[retry[better]] = cand[better]
+            best_res[retry[better]] = res_new[better]
+            retry = retry[~(res_new <= res[retry] * (1 - 1e-4))]
+        coords[act_idx] = best
 
         # Pinned at a domain boundary: try to continue in another chart.
-        pinned = np.linalg.norm(best[0] - cur, axis=1) < 1e-12 * (
+        pinned = np.linalg.norm(best - cur, axis=1) < 1e-12 * (
             np.linalg.norm(step, axis=1) + 1e-300
         )
         if pinned.any() and f.locate is not None:
@@ -735,22 +692,11 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     if len(ok_rows):
         jac = _per_chart(f.jacobian_chart, p_chart[ok_rows], p_coords[ok_rows])
         basis = _orthonormalize_batch(jac)
-        framed = np.einsum("ij,bjl->bil", ctx.iso.rotation.T, basis)
-        top = framed[:, :m, :]
-        bottom = framed[:, m:, :]
-        _, smin = _singular_extremes(top)
-        vertical = smin <= VERTICAL_RANK_TOL
+        slope, vertical = graph_slopes(
+            np.einsum("ij,bjl->bil", ctx.iso.rotation.T, basis))
         status[ok_rows[vertical]] = STATUS_VERTICAL
-        good = ~vertical
-        if good.any():
-            slope = np.einsum(
-                "bkj,bjl->bkl",
-                bottom[good],
-                np.linalg.inv(top[good]),
-            )
-            rows = ok_rows[good]
-            du[rows] = slope
-            du_norm[rows] = np.sqrt((slope * slope).sum(axis=(1, 2)))
+        du[ok_rows] = slope
+        du_norm[ok_rows] = np.sqrt((slope * slope).sum(axis=(1, 2)))
 
     _mark_multi_sheet(region, status, node_map, a, N, m)
 

@@ -6,6 +6,7 @@ after construction, so values may be shared freely between callers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,6 @@ from scipy.linalg import subspace_angles
 
 from .errors import PreconditionViolated
 
-ORTHO_TOL = 1e-12
 SPAN_TOL = 1e-10
 GRAPH_RANK_TOL = 1e-9
 
@@ -33,6 +33,73 @@ def project_to_first_m(x, m: int) -> np.ndarray:
     if not 0 < m < x.shape[-1]:
         raise ValueError(f"projection needs 0 < m < n, got m={m}, n={x.shape[-1]}")
     return x[..., :m]
+
+
+@functools.cache
+def _minor_pairs(n: int):
+    """Row index pairs (i < j) of the 2 x 2 minors of an n x 2 matrix."""
+    return np.triu_indices(n, 1)
+
+
+def _singular_extremes(mat: np.ndarray):
+    """(sigma_max, sigma_min) per stacked n x m matrix, n >= m; closed forms
+    for m <= 2.  For m = 2, sigma_max comes from the Gram matrix and
+    sigma_min = sigma_1 sigma_2 / sigma_max, the product being the root sum
+    of squares of the 2 x 2 minors (|det| when square): accurate to rounding
+    relative to sigma_max even for a singular matrix, which the Gram
+    discriminant is not."""
+    m = mat.shape[-1]
+    if m == 1:
+        s = np.linalg.norm(mat[..., 0], axis=-1)
+        return s, s
+    if m == 2:
+        a, b = mat[..., 0], mat[..., 1]
+        g00, g11, g01 = (np.einsum("...i,...i->...", u, v)
+                         for u, v in ((a, a), (b, b), (a, b)))
+        disc = np.sqrt(0.25 * (g00 - g11) ** 2 + g01 ** 2)
+        smax = np.sqrt(0.5 * (g00 + g11) + disc)
+        i, j = _minor_pairs(mat.shape[-2])
+        ri, rj = mat[..., i, :], mat[..., j, :]
+        minors = ri[..., 0] * rj[..., 1] - ri[..., 1] * rj[..., 0]
+        prod = np.sqrt((minors * minors).sum(axis=-1))
+        return smax, prod / np.maximum(smax, 1e-300)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return svals[..., 0], svals[..., -1]
+
+
+def _orthonormalize_batch(jac: np.ndarray) -> np.ndarray:
+    """Orthonormal column basis per stacked full-rank n x m matrix, each
+    column j having a positive inner product with the j-th input column."""
+    m = jac.shape[-1]
+    if m == 1:
+        return jac / np.linalg.norm(jac, axis=-2, keepdims=True)
+    if m == 2:
+        a, b = jac[..., 0], jac[..., 1]
+        q1 = a / np.linalg.norm(a, axis=-1, keepdims=True)
+        w = b - np.sum(q1 * b, axis=-1, keepdims=True) * q1
+        w = w - np.sum(q1 * w, axis=-1, keepdims=True) * q1
+        q2 = w / np.linalg.norm(w, axis=-1, keepdims=True)
+        return np.stack([q1, q2], axis=-1)
+    q, r = np.linalg.qr(jac)
+    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    sign[sign == 0] = 1.0
+    return q * sign[..., None, :]
+
+
+def graph_slopes(bases: np.ndarray):
+    """Slope matrices of stacked n x m bases over R^m x {0}.
+
+    Returns (slope, vertical): a row is vertical when the smallest singular
+    value of its top m x m block is at most ``GRAPH_RANK_TOL``; its slope
+    is NaN.  Every other row gets bottom @ inv(top), shape (k, m).
+    """
+    m = bases.shape[-1]
+    top = bases[:, :m, :]
+    vertical = _singular_extremes(top)[1] <= GRAPH_RANK_TOL
+    top = np.where(vertical[:, None, None], np.eye(m), top)  # keeps inv defined
+    slope = np.einsum("bkj,bjl->bkl", bases[:, m:, :], np.linalg.inv(top))
+    slope[vertical] = np.nan
+    return slope, vertical
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +131,12 @@ class Subspace:
 
     @classmethod
     def from_span(cls, vectors) -> "Subspace":
-        """Orthonormalize spanning columns (QR with a deterministic sign fix)."""
+        """Orthonormalize spanning columns; basis column j has a positive
+        inner product with spanning column j."""
         v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        q, r = np.linalg.qr(v)
-        d = np.diagonal(r).copy()
-        d[d == 0] = 1.0
-        q = q * np.sign(d)
-        if np.linalg.matrix_rank(v, tol=1e-12) < v.shape[1]:
+        if v.shape[0] < v.shape[1] or _singular_extremes(v)[1] <= 1e-12:
             raise ValueError("spanning vectors are linearly dependent")
-        return cls(q)
+        return cls(_orthonormalize_batch(v))
 
     def distance_of(self, v) -> float:
         """Euclidean distance from a vector to the span."""
@@ -231,17 +295,12 @@ def subspace_graph_matrix(e: Subspace) -> GraphMatrixResult | None:
     """Slope matrix of a subspace over R^m x {0}, or None when vertical.
 
     The subspace is a graph exactly when the top m x m block of its basis
-    has full rank; rank is decided by the smallest singular value against
-    ``GRAPH_RANK_TOL``.
+    has full rank; this is the one-row case of ``graph_slopes``.
     """
-    m = e.dim
-    top = e.basis[:m, :]
-    bottom = e.basis[m:, :]
-    svals = np.linalg.svd(top, compute_uv=False)
-    if svals.min() <= GRAPH_RANK_TOL:
+    slope, vertical = graph_slopes(e.basis[None])
+    if vertical[0]:
         return None
-    a = bottom @ np.linalg.inv(top)
-    return GraphMatrixResult(matrix=a, norm=matrix_norm(a))
+    return GraphMatrixResult(matrix=slope[0], norm=matrix_norm(slope[0]))
 
 
 def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult:
@@ -253,8 +312,7 @@ def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult
     off the subspace (the probes only validate the hypothesis), so nearly
     coincident probes cannot make the computation ill conditioned.
     """
-    m = e.dim
-    n = e.ambient_dim
+    m, n = e.dim, e.ambient_dim
     if L > 1.0 + 1e-12:
         raise ValueError(f"probe bound requires L <= 1, got {L}")
     probes = [np.asarray(v, dtype=float).reshape(-1) for v in probes]
@@ -264,19 +322,15 @@ def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult
     for j, v in enumerate(probes):
         if v.shape[0] != n:
             raise ValueError(f"probe {j} has wrong ambient dimension")
-        if e.distance_of(v) > SPAN_TOL:
+        off = e.distance_of(v)
+        if off > SPAN_TOL:
             raise PreconditionViolated(
-                f"probe {j} is off the subspace (distance {e.distance_of(v):.3e})",
-                index=j,
-            )
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        if np.linalg.norm(v - ej) > budget * (1 + 1e-12) + 1e-15:
+                f"probe {j} is off the subspace (distance {off:.3e})", index=j)
+        far = np.linalg.norm(v - np.eye(n)[j])
+        if far > budget * (1 + 1e-12) + 1e-15:
             raise PreconditionViolated(
-                f"probe {j} too far from its axis point: "
-                f"{np.linalg.norm(v - ej):.6e} > {budget:.6e}",
-                index=j,
-            )
+                f"probe {j} too far from its axis point: {far:.6e} > {budget:.6e}",
+                index=j)
     result = subspace_graph_matrix(e)
     if result is None:
         # Unreachable when the hypothesis holds; flag the construction.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParams, RankDeficient, UnknownEntry
-from .geometry import Isometry, Subspace
+from .geometry import Isometry, Subspace, _singular_extremes
 
 RANK_TOL = 1e-8
 
@@ -172,10 +172,10 @@ def tangent_space(f: ParamImmersion, p: ParamPoint) -> Subspace:
     immersion tolerance: the map is not an immersion there.
     """
     jac = f.jacobian(p)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    if svals.min() <= RANK_TOL:
+    _, smin = _singular_extremes(jac)
+    if smin <= RANK_TOL:
         raise RankDeficient(
-            f"Jacobian nearly rank-deficient at {p} (sigma_min={svals.min():.3e})"
+            f"Jacobian nearly rank-deficient at {p} (sigma_min={smin:.3e})"
         )
     return Subspace.from_span(jac)
 

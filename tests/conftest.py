@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tangentgraph as tg
-from tangentgraph import extractor
+from tangentgraph import PreconditionViolated, extractor, theorems
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +68,19 @@ def fail_outer_certifier_nodes(monkeypatch, r):
         return status, chart, coords, heights
 
     monkeypatch.setattr(extractor, "_solve_batch", solve)
+
+
+def fail_probe_certificate(monkeypatch, node):
+    """Make the certifier's probe certificate at its node-th call (from 0)
+    report a failed hypothesis on probe 1."""
+    real = theorems.graph_matrix_from_probes
+    calls = []
+
+    def certificate(e, probes, L):
+        calls.append(None)
+        if len(calls) == node + 1:
+            raise PreconditionViolated("probe 1 too far from its axis point",
+                                       index=1)
+        return real(e, probes, L)
+
+    monkeypatch.setattr(theorems, "graph_matrix_from_probes", certificate)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tangentgraph import extractor
+from tangentgraph import ZOO, InvalidParams, cli, extractor
 from tangentgraph.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -11,7 +11,7 @@ from tangentgraph.cli import (
     main,
 )
 
-from conftest import fail_outer_certifier_nodes
+from conftest import fail_outer_certifier_nodes, fail_probe_certificate
 
 
 def run(args, capsys):
@@ -34,6 +34,28 @@ class TestZooCommand:
             "circle", "flat", "graph_of", "helix", "sphere2", "torus", "wiggle"
         ]
         assert report["schema_version"] == 1
+
+
+class TestEntryFlags:
+    @pytest.mark.parametrize("entry,param", [
+        (entry, param) for entry in sorted(ZOO) for param in ZOO[entry].defaults
+    ])
+    def test_every_zoo_default_is_a_typed_flag(self, capsys, monkeypatch,
+                                               entry, param):
+        default = ZOO[entry].defaults[param]
+        seen = []
+
+        def build(name, params):
+            seen.append((name, params))
+            raise InvalidParams("stop after the parameters arrive")
+
+        monkeypatch.setattr(cli, "zoo_build", build)
+        flag = "--" + param.replace("_", "-")
+        code, _, _ = run(["extract", "--immersion", entry, flag, str(default),
+                          "--r", "0.1"], capsys)
+        assert code == EXIT_INVALID
+        assert seen == [(entry, {param: default})]
+        assert type(seen[0][1][param]) is type(default)
 
 
 class TestExtractCommand:
@@ -135,6 +157,16 @@ class TestVerifyCommand:
         )
         assert code == EXIT_INVALID
         assert "could not locate the parameter under node" in err
+
+    def test_du_cert_failed_probe_is_inconclusive(self, capsys, monkeypatch):
+        fail_probe_certificate(monkeypatch, 0)
+        code, _, err = run(
+            ["verify", "du-cert", "--immersion", "circle", "--R", "1",
+             "--lambda", "1e-5", "--r", "1.9e-5", "--q", "0"],
+            capsys,
+        )
+        assert code == EXIT_INCONCLUSIVE
+        assert "probe hypothesis failed at x=" in err
 
     @pytest.mark.parametrize("statement,args,stray", [
         ("du-cert", ["--r", "1.9e-5", "--q", "0", "--rho", "5",

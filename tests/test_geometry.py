@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tangentgraph import (
     GraphMatrixResult,
@@ -16,6 +17,12 @@ from tangentgraph import (
     random_rotation,
     randomize_admissible,
     subspace_graph_matrix,
+)
+from tangentgraph.geometry import (
+    GRAPH_RANK_TOL,
+    _orthonormalize_batch,
+    _singular_extremes,
+    graph_slopes,
 )
 
 
@@ -253,3 +260,80 @@ def _random_probe_case(rng):
         w = np.eye(m)[j] + rng.standard_normal(m) * L / (16.0 * m)
         probes.append(np.concatenate([w, a @ w]))
     return a, e, probes, L
+
+
+@st.composite
+def small_matrices(draw):
+    """A random n x m matrix U diag(s) V^T with a chosen smallest singular
+    value: exactly zero, 1e-10 or 1e-8 of the largest, or random."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    smax = draw(st.floats(0.1, 10.0))
+    ratio = draw(st.sampled_from([0.0, 1e-10, 1e-8, None]))
+    svals = np.sort(rng.uniform(0.05, 1.0, m))[::-1] * smax
+    svals[0] = smax
+    if ratio is not None and m > 1:
+        svals[-1] = ratio * smax
+    u = random_rotation(n, rng)[:, :m]
+    v = random_rotation(m, rng) if m > 1 else np.eye(1)
+    return (u * svals) @ v.T
+
+
+class TestSmallMatrixHelpers:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(small_matrices())
+    def test_singular_extremes_match_svd(self, mat):
+        svals = np.linalg.svd(mat, compute_uv=False)
+        smax, smin = _singular_extremes(mat[None])
+        assert smax[0] == pytest.approx(svals[0], rel=1e-14)
+        assert abs(smin[0] - svals[-1]) <= 1e-14 * svals[0]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(small_matrices())
+    def test_orthonormalize_matches_qr(self, mat):
+        smin = np.linalg.svd(mat, compute_uv=False)[-1]
+        if smin <= 1e-12:
+            with pytest.raises(ValueError):
+                Subspace.from_span(mat)
+            return
+        q, r = np.linalg.qr(mat)
+        q = q * np.sign(np.diagonal(r))
+        basis = _orthonormalize_batch(mat[None])[0]
+        cond = np.linalg.cond(mat)
+        assert np.abs(basis - q).max() <= 1e-14 * cond
+        assert np.abs(basis.T @ basis - np.eye(mat.shape[1])).max() <= 1e-14
+        assert np.array_equal(Subspace.from_span(mat).basis, basis)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(small_matrices())
+    def test_graph_slopes_match_svd_and_inverse(self, mat):
+        m = mat.shape[1]
+        if mat.shape[0] == m:
+            return  # no bottom block: not a graph basis
+        top = mat[:m]
+        slope, vertical = graph_slopes(mat[None])
+        smin = np.linalg.svd(top, compute_uv=False)[-1]
+        scale = max(1.0, np.abs(top).max())
+        if abs(smin - GRAPH_RANK_TOL) > 1e-14 * scale:  # clear of the threshold
+            assert vertical[0] == (smin <= GRAPH_RANK_TOL)
+        if vertical[0]:
+            assert np.isnan(slope[0]).all()
+        else:
+            inv = np.linalg.inv(top)
+            expected = mat[m:] @ inv
+            # the products cancel by up to the size of the inverse
+            scale = np.abs(mat[m:]).max() * np.abs(inv).max()
+            assert np.abs(slope[0] - expected).max() <= 1e-14 * max(1.0, scale)
+
+    @pytest.mark.parametrize("s", [0.0, 1e-8])
+    def test_rotated_two_by_two_vertical_threshold(self, s):
+        # rotations of diag(0.9, s): exactly singular tops are vertical, tops
+        # ten times above the threshold are not
+        rng = np.random.default_rng(5)
+        tops = np.stack([random_rotation(2, rng) @ np.diag([0.9, s])
+                         @ random_rotation(2, rng) for _ in range(2000)])
+        bases = np.concatenate([tops, np.zeros((2000, 1, 2))], axis=1)
+        _, vertical = graph_slopes(bases)
+        assert vertical.all() == (s == 0.0)
+        assert vertical.any() == (s == 0.0)

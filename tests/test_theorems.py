@@ -1,13 +1,25 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import tangentgraph as tg
-from tangentgraph import Inconclusive, InvalidParams, PreconditionViolated
-from tangentgraph import extractor
+from tangentgraph import (
+    Inconclusive,
+    InvalidParams,
+    PreconditionViolated,
+    ProbeHypothesisFailed,
+    RankDeficient,
+)
+from tangentgraph import extractor, theorems
 
-from conftest import cached_max_radius, circle_r1, fail_outer_certifier_nodes
+from conftest import (
+    cached_max_radius,
+    circle_r1,
+    fail_outer_certifier_nodes,
+    fail_probe_certificate,
+)
 
 
 def certifier_lattice(f, q, r, s):
@@ -194,6 +206,30 @@ class TestDuCertifier:
         with pytest.raises(PreconditionViolated,
                            match="could not locate the parameter under node"):
             tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5, 1e-5)
+
+    def test_failed_probe_hypothesis_names_node(self, circle, monkeypatch):
+        q = circle.point(0, [0.0])
+        cert = tg.certify_du_bound(circle, q, 1.9e-5, 1e-5)
+        fail_probe_certificate(monkeypatch, 2)
+        with pytest.raises(ProbeHypothesisFailed) as err:
+            tg.certify_du_bound(circle, q, 1.9e-5, 1e-5)
+        assert np.array_equal(err.value.node, cert.per_node[2][0])
+        assert err.value.probe_index == 1
+
+    def test_rank_deficient_node_is_named(self, circle, monkeypatch):
+        q = circle.point(0, [0.0])
+        x = tg.certify_du_bound(circle, q, 1.9e-5, 1e-5).per_node[3][0]
+        real = theorems._singular_extremes
+
+        def extremes(mat):
+            smax, smin = real(mat)
+            smin = smin.copy()
+            smin[3] = 0.0  # the fourth base node
+            return smax, smin
+
+        monkeypatch.setattr(theorems, "_singular_extremes", extremes)
+        with pytest.raises(RankDeficient, match=re.escape(f"under node {x}")):
+            tg.certify_du_bound(circle, q, 1.9e-5, 1e-5)
 
     def test_precondition_check_runs(self, circle):
         # the height bound fails at this radius, so the hypothesis is refused
