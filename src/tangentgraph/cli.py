@@ -180,6 +180,13 @@ def _parse_q(cfg, immersion) -> ParamPoint:
     return immersion.point(int(chart), np.array(coords))
 
 
+def _sample(cfg, immersion) -> list:
+    per_axis = int(cfg.get("samples", 8))
+    if per_axis < 1:
+        raise InvalidParams("--samples must be at least 1")
+    return immersion.sample_points(per_axis=per_axis)
+
+
 def _emit(cfg, result: dict) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -223,7 +230,7 @@ def _cmd_radii(cfg) -> int:
     if cfg.get("lam") is None:
         raise InvalidParams("radii requires --lambda")
     kind = KIND_C0 if cfg["kind"] == "c0" else KIND_C1
-    Q = immersion.sample_points(per_axis=int(cfg.get("samples", 8)))
+    Q = _sample(cfg, immersion)
     report = max_radius(
         immersion,
         float(cfg["lam"]),
@@ -253,7 +260,7 @@ def _cmd_verify(cfg) -> int:
         raise InvalidParams(f"verify {statement} does not use {', '.join(stray)}")
 
     if statement == "theorem":
-        Q = immersion.sample_points(per_axis=int(cfg.get("samples", 8)))
+        Q = _sample(cfg, immersion)
         verdict = verify_main_theorem(
             immersion, lam, Q, tol=float(cfg.get("tol", 1e-3)), N=grid,
         )
@@ -261,7 +268,7 @@ def _cmd_verify(cfg) -> int:
         return EXIT_OK if verdict.holds else EXIT_FAIL
 
     if statement == "enlargement":
-        Q = immersion.sample_points(per_axis=int(cfg.get("samples", 8)))
+        Q = _sample(cfg, immersion)
         r = cfg.get("r")
         if r is None:
             base = max_radius(immersion, lam, KIND_C1, Q,

@@ -7,7 +7,8 @@ can only certify what it has probed, and says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,6 +97,9 @@ def _check_property(f, r, lam, Q, kind, N=None) -> PropertyVerdict:
     """Witnesses in sample order, stopping at the first that does not pass."""
     if r <= 0 or lam <= 0:
         raise ValueError("radius and slope bound must be positive")
+    Q = list(Q)
+    if not Q:
+        raise ValueError("the sample of base points is empty")
     N = N or default_grid(f.m)
     witnesses = []
     for q in Q:
@@ -129,7 +133,9 @@ class RadiusReport:
     ``status`` is "bracketed" for a genuine bracket (r_lo passing, r_hi
     failing), "none_passing" when even the initial probe radius failed
     (r_lo = 0), and "unbounded" when the property still passed at the cap
-    radius.
+    radius.  ``trace`` holds one (r, holds, q_index, detail) per probe, in
+    probe order: q_index is the position in the sample of the base point
+    that failed (None for a passing probe) and detail the check it failed.
     """
 
     lam: float
@@ -142,6 +148,7 @@ class RadiusReport:
     sample_spec: dict
     cap: float = RADIUS_CAP
     probes: int = 0
+    trace: list = field(default_factory=list)
 
     @property
     def unbounded(self) -> bool:
@@ -167,6 +174,7 @@ class RadiusReport:
             "grid_n": self.grid_n,
             "cap": self.cap,
             "probes": self.probes,
+            "trace": self.trace,
             "sample_spec": self.sample_spec,
         }
 
@@ -179,15 +187,38 @@ def _sample_spec(f: ParamImmersion, Q) -> dict:
     return spec
 
 
+def _measure(verdict: PropertyVerdict, kind: str, r: float, lam: float):
+    """Scaled size of a probe, <= 1 where the property holds: lip / lam or
+    c0 / (r lam), the largest over a passing probe's witnesses, else the
+    failing witness's.  None when the probe has no such number."""
+    ws = verdict.witnesses if verdict.holds else verdict.witnesses[-1:]
+    vals = [w.lip if kind == KIND_C1 else w.c0 for w in ws]
+    if not vals or any(v is None or not np.isfinite(v) for v in vals):
+        return None
+    return max(vals) / (lam if kind == KIND_C1 else r * lam)
+
+
 def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
                N: int = None) -> RadiusReport:
     """Maximal radius at which the graph property holds on the sample.
 
-    Bisection from a doubling bracket, relying on restriction
-    monotonicity (a graph over a ball restricts to a graph over any
-    smaller ball).  Monotonicity is additionally spot-checked on a
-    five-point radius grid; a violation aborts rather than silently
-    bisecting.  Immersions that still pass at the cap radius are reported
+    The bracket is the cell of a fixed search tree: a doubling ladder
+    ``r_init * 2**j`` up to the cap, then bisection of the ladder cell
+    until ``r_hi / r_lo - 1 <= tol``.  Restriction monotonicity (a graph
+    over a ball restricts to a graph over any smaller ball) decides every
+    rung and tree midpoint at or below a passing probe, or at or above a
+    failing one.  The rest are guessed from the threshold predicted by
+    the probes' measured lip or c0 (a secant, or proportional to r), and
+    the guessed leaf's endpoints are confirmed by real probes.  After a
+    failure with no measure (a second sheet, a vertical or uncovered node)
+    the ladder climbs from the largest pass, as doubling does.  The tree
+    takes a plain bisection step instead of a guess when there is no
+    prediction, when it lies outside the gap between the largest pass and
+    the smallest fail, or when the last round did not halve that gap.
+    Guesses only choose what to probe, so the bracket equals plain
+    bisection's.  Monotonicity is spot-checked at four radii below r_lo;
+    a violation aborts.  The base point that failed last is checked
+    first.  Immersions that still pass at the cap radius are reported
     with an unbounded sentinel.
     """
     if not 0 < tol <= 0.1:
@@ -197,41 +228,80 @@ def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
     N = N or default_grid(f.m)
     Q = list(Q)
     spec = _sample_spec(f, Q)
-    probes = 0
+    order = list(range(len(Q)))  # checking order; the last failure first
+    passed, failed, trace = {}, {}, []  # passed/failed: radius -> measure
 
     def passes(r: float) -> bool:
-        nonlocal probes
-        probes += 1
-        verdict = _check_property(f, r, lam, Q, kind, N)
+        verdict = _check_property(f, r, lam, [Q[i] for i in order], kind, N)
         if verdict.inconclusive:
             raise Inconclusive(
                 f"property check inconclusive at r={r:.6g}: {verdict.reason}"
             )
+        q_index = None
+        if not verdict.holds and verdict.witnesses:
+            q_index = order.pop(len(verdict.witnesses) - 1)
+            order.insert(0, q_index)
+        trace.append((r, verdict.holds, q_index, verdict.reason))
+        (passed if verdict.holds else failed)[r] = _measure(verdict, kind, r,
+                                                            lam)
         return verdict.holds
+
+    def predict():
+        lo, hi = max(passed), min(failed, default=None)
+        g_lo, g_hi = passed[lo], failed.get(hi)
+        if g_lo is not None and g_hi is not None and g_hi > g_lo:
+            return lo + (1.0 - g_lo) * (hi - lo) / (g_hi - g_lo)
+        if g_lo is not None:
+            return lo / g_lo if g_lo else float("inf")
+        return hi / g_hi if g_hi else None
+
+    def report(r_lo, r_hi, status):
+        return RadiusReport(lam, kind, r_lo, r_hi, status, tol, N, spec,
+                            probes=len(trace), trace=trace)
 
     r_init = 1e-6 * f.ambient_bbox_diag()
     if not passes(r_init):
-        return RadiusReport(lam, kind, 0.0, r_init, "none_passing", tol, N,
-                            spec, probes=probes)
+        return report(0.0, r_init, "none_passing")
 
-    r_lo, r_hi = r_init, None
+    rungs = [r_init]
+    while rungs[-1] < RADIUS_CAP * (1 - 1e-12):
+        rungs.append(min(2.0 * rungs[-1], RADIUS_CAP))
+    lo, hi = 0, len(rungs)  # highest passing, lowest failing rung
+    while hi - lo > 1:  # the rung at or below the prediction, else gallop
+        t = predict()
+        k = 1 if t is None else bisect.bisect_right(rungs, t) - 1
+        if hi < len(rungs) and failed[rungs[hi]] is None:
+            k = lo + 1  # no measure places this failure: climb, as doubling
+        k = min(max(k, lo + 1), hi - 1)
+        if passes(rungs[k]):
+            lo = k
+        else:
+            hi = k
+    if hi == len(rungs):
+        return report(RADIUS_CAP, float("inf"), "unbounded")
+
+    plain = False
     while True:
-        if r_lo >= RADIUS_CAP * (1 - 1e-12):
-            return RadiusReport(lam, kind, RADIUS_CAP, float("inf"), "unbounded",
-                                tol, N, spec, probes=probes)
-        r_next = min(2.0 * r_lo, RADIUS_CAP)
-        if passes(r_next):
-            r_lo = r_next
+        p, q = max(passed), min(failed)
+        r_lo, r_hi = rungs[lo], rungs[hi]
+        while r_hi / r_lo - 1.0 > tol:  # descend as far as probes decide
+            mid = 0.5 * (r_lo + r_hi)
+            if p < mid < q:
+                break
+            r_lo, r_hi = (mid, r_hi) if mid <= p else (r_lo, mid)
         else:
-            r_hi = r_next
-            break
-
-    while r_hi / r_lo - 1.0 > tol:
-        mid = 0.5 * (r_lo + r_hi)
-        if passes(mid):
-            r_lo = mid
+            break  # a leaf: r_lo passed and r_hi failed
+        t = None if plain else predict()
+        if t is None or not p < t < q:
+            passes(mid)
         else:
-            r_hi = mid
+            while r_hi / r_lo - 1.0 > tol:  # descend on the prediction
+                mid = 0.5 * (r_lo + r_hi)
+                r_lo, r_hi = (mid, r_hi) if mid <= t else (r_lo, mid)
+            for r in sorted((r_lo, r_hi), key=lambda r: abs(r - t)):
+                if max(passed) < r < min(failed):
+                    passes(r)
+        plain = min(failed) - max(passed) > 0.5 * (q - p)
 
     for rr in np.linspace(0.2, 0.8, 4) * r_lo:
         if not passes(float(rr)):
@@ -239,6 +309,4 @@ def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
                 f"property fails at r={rr:.6g} although it holds at the "
                 f"larger radius {r_lo:.6g}; discretization is unsound here"
             )
-
-    return RadiusReport(lam, kind, r_lo, r_hi, "bracketed", tol, N, spec,
-                        probes=probes)
+    return report(r_lo, r_hi, "bracketed")

@@ -128,7 +128,7 @@ class ParamImmersion:
 
     def sample_points(self, per_axis: int = None) -> list:
         """Deterministic grid sample covering the represented portion of M."""
-        per_axis = per_axis or self.sample_per_axis
+        per_axis = self.sample_per_axis if per_axis is None else per_axis
         out = []
         for ci, chart in enumerate(self.charts):
             axes = []

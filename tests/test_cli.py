@@ -106,6 +106,23 @@ class TestRadiiCommand:
         assert code == EXIT_INVALID
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("command", [
+        ["radii", "--kind", "c1"],
+        ["verify", "theorem"],
+        ["verify", "enlargement"],
+    ])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_empty_sample_is_invalid(self, capsys, command, samples):
+        code, _, err = run(
+            command + ["--immersion", "circle", "--lambda", "0.5",
+                       "--samples", samples],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "--samples must be at least 1" in err
+
+
 class TestVerifyCommand:
     def test_theorem_circle(self, tmp_path, capsys):
         out_file = tmp_path / "verdict.json"

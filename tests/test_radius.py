@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tangentgraph as tg
 from tangentgraph import Inconclusive, MonotonicityViolation, radius
@@ -12,6 +13,51 @@ from conftest import cached_max_radius, circle_r0, circle_r1
 @pytest.fixture(scope="module")
 def circle_q(circle):
     return circle.sample_points(per_axis=4)
+
+
+def reference_search(holds, r_init, tol):
+    """Plain doubling ladder, bisection and four-radius spot check: the
+    bracket and probe count max_radius had before it predicted radii."""
+    if not holds(r_init):
+        return 0.0, r_init, "none_passing", 1
+    r_lo, probes = r_init, 1
+    while r_lo < radius.RADIUS_CAP * (1 - 1e-12):
+        r_next, probes = min(2.0 * r_lo, radius.RADIUS_CAP), probes + 1
+        if not holds(r_next):
+            r_hi = r_next
+            break
+        r_lo = r_next
+    else:
+        return radius.RADIUS_CAP, math.inf, "unbounded", probes
+    while r_hi / r_lo - 1.0 > tol:
+        mid, probes = 0.5 * (r_lo + r_hi), probes + 1
+        r_lo, r_hi = (mid, r_hi) if holds(mid) else (r_lo, mid)
+    return r_lo, r_hi, "bracketed", probes + 4
+
+
+# Measured lip / lam as a function of the radius r and the true threshold t.
+MEASURES = {
+    "linear": lambda r, t: r / t,
+    "x10": lambda r, t: 10.0 * r / t,
+    "x0.1": lambda r, t: 0.1 * r / t,
+    "cubic": lambda r, t: (r / t) ** 3,
+    "steep": lambda r, t: (r / t) ** 30,  # a plain secant stalls on this
+    "oscillating": lambda r, t: r / t * (1.0 + 0.5 * math.sin(10 * math.log(r))),
+    "none": lambda r, t: None,
+    # passes read 10x low, failures carry no number (a second sheet)
+    "sheet": lambda r, t: 0.1 * r / t if r <= t else None,
+}
+
+
+def threshold_check(t, measure):
+    """A _check_property stand-in: holds for r <= t, one witness carrying
+    the modelled lip (none for the "none" measure)."""
+    def check(f, r, lam, Q, kind, N=None):
+        g, holds = MEASURES[measure](r, t), r <= t
+        witnesses = [] if g is None else [
+            radius.Witness(Q[0], "pass" if holds else "fail", lip=g * lam)]
+        return radius.PropertyVerdict(holds, witnesses)
+    return check
 
 
 class TestPropertyChecks:
@@ -76,6 +122,7 @@ class TestMaxRadius:
         rep = tg.max_radius(f, 0.5, tg.KIND_C1, f.sample_points(per_axis=3))
         assert rep.unbounded
         assert rep.to_dict()["kind"] == "unbounded"
+        assert rep.probes <= 2
 
     def test_none_passing_sentinel(self):
         w = tg.zoo_build("wiggle", {})
@@ -99,6 +146,76 @@ class TestMaxRadius:
         monkeypatch.setattr(radius, "_check_property", check)
         with pytest.raises(MonotonicityViolation):
             tg.max_radius(circle, 0.5, tg.KIND_C1, circle_q)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(1e-4, 1e2), st.sampled_from(sorted(MEASURES)),
+           st.sampled_from([1e-2, 1e-3, 5e-4]))
+    def test_predicted_search_matches_bisection(self, circle, circle_q, t,
+                                                measure, tol):
+        ref = reference_search(lambda r: r <= t,
+                               1e-6 * circle.ambient_bbox_diag(), tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radius, "_check_property", threshold_check(t, measure))
+            rep = tg.max_radius(circle, 0.5, tg.KIND_C1, circle_q, tol=tol)
+        assert (repr(rep.r_lo), repr(rep.r_hi), rep.status) == tuple(
+            map(repr, ref[:2])) + (ref[2],)
+        assert rep.probes == len(rep.trace)
+        assert rep.probes <= ref[3] + 10
+        if measure == "linear":
+            assert rep.probes <= 9
+        if measure in ("x10", "x0.1", "oscillating"):
+            assert rep.probes <= ref[3]
+        if measure == "none":
+            assert rep.probes == ref[3]
+        if measure == "sheet":  # one overshoot, then climb from below
+            assert sum(r > 2.0 * t for r, *_ in rep.trace) <= 1
+            assert rep.probes <= ref[3] + 1
+
+    def test_last_failing_point_is_checked_first(self, circle, monkeypatch):
+        # only the third point fails (beyond r = 0.3); it also has the
+        # largest lip, which a passing probe's measure must take
+        Q = circle.sample_points(per_axis=3)
+        scale = {id(Q[0]): 0.5, id(Q[1]): 0.25, id(Q[2]): 1.0}
+        evaluated = []  # (holds, witnesses evaluated) per probe
+
+        def check(f, r, lam, Q_, kind, N=None):
+            witnesses = []
+            for q in Q_:
+                ok = q is not Q[2] or r <= 0.3
+                witnesses.append(radius.Witness(
+                    q, "pass" if ok else "fail", lip=scale[id(q)] * lam * r / 0.3))
+                if not ok:
+                    break
+            evaluated.append((ok, len(witnesses)))
+            return radius.PropertyVerdict(ok, witnesses, reason="lip")
+
+        monkeypatch.setattr(radius, "_check_property", check)
+        rep = tg.max_radius(circle, 0.5, tg.KIND_C1, Q)
+        fails = [n for ok, n in evaluated if not ok]
+        assert len(fails) >= 2 and fails[0] == 3
+        assert fails[1:] == [1] * (len(fails) - 1)
+        assert {q for _, holds, q, _ in rep.trace if not holds} == {2}
+        assert rep.probes <= 9
+
+    def test_trace_names_the_deciding_point(self):
+        # curvature of the parabola peaks at its vertex, so the vertex,
+        # listed second, fails first
+        g = tg.zoo_build("graph_of", {"m": 1, "coeff": 1.0})
+        Q = [g.point(0, [0.5]), g.point(0, [0.0])]
+        rep = tg.max_radius(g, 0.5, tg.KIND_C1, Q, tol=1e-2, N=65)
+        assert len(rep.trace) == rep.probes
+        assert rep.to_dict()["trace"] == rep.trace
+        r, holds, q_index, detail = next(e for e in rep.trace
+                                         if e[0] == rep.r_hi)
+        assert not holds and q_index == 1 and detail.startswith("lip ")
+        assert all(e[1] and e[2] is None and e[3] == "" for e in rep.trace
+                   if e[0] == rep.r_lo)
+
+    def test_empty_sample_is_rejected(self, circle):
+        with pytest.raises(ValueError, match="empty"):
+            tg.is_r_lambda(circle, 0.1, 0.5, [])
+        with pytest.raises(ValueError, match="empty"):
+            tg.max_radius(circle, 0.5, tg.KIND_C1, [])
 
     def test_inconclusive_propagates(self):
         g = tg.zoo_build("graph_of", {"m": 1, "coeff": 0.0, "extent": 1.2,

@@ -178,6 +178,10 @@ class TestSamplerInvariants:
         for p, q in zip(a, b):
             assert p.chart == q.chart and np.array_equal(p.coords, q.coords)
 
+    def test_zero_per_axis_is_an_empty_sample(self, circle):
+        assert circle.sample_points(per_axis=0) == []
+        assert len(circle.sample_points()) == circle.sample_per_axis
+
 
 class TestTransforms:
     def test_rigid_motion_moves_image(self, circle):
