@@ -8,15 +8,13 @@ from the exact tangent space at each solved parameter, not from height
 differencing.
 
 All heavy steps are vectorized over grid nodes and cells.  The component
-is stored per chart as a sorted array of packed cell keys, so membership
-tests and the flood's visited set are binary searches.
+is labelled on, and stored as, one dense boolean cell window per chart,
+so a membership test is one array lookup.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,35 +87,36 @@ def _cell_index(chart, size, coords) -> np.ndarray:
     return np.floor((np.atleast_2d(coords) - chart.lo) / size).astype(np.int64)
 
 
-def _pack_keys(idx: np.ndarray, counts: np.ndarray, periodic) -> np.ndarray:
-    """Mixed-radix int64 key per cell index row, periodic axes wrapped;
-    -1 for rows outside the chart's cell range."""
-    key = np.zeros(len(idx), dtype=np.int64)
-    valid = np.ones(len(idx), dtype=bool)
-    for d in range(idx.shape[1]):
-        col = idx[:, d]
-        if periodic[d]:
-            col = np.mod(col, counts[d])
-        else:
-            valid &= (col >= 0) & (col < counts[d])
-        key = key * np.int64(counts[d]) + col
-    key[~valid] = -1
-    return key
+def _window_pos(cells, lo, shape, counts, periodic):
+    """Positions of cell index rows in the window at lo of the given shape,
+    periodic axes taken mod counts, and which rows fall inside it."""
+    pos = cells - lo
+    pos = np.where(periodic, np.mod(pos, counts), pos)
+    return pos, ((pos >= 0) & (pos < shape)).all(axis=1)
 
 
-def _in_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Which probe keys occur in the sorted key array."""
-    pos = np.searchsorted(keys, probe)
-    hit = pos < len(keys)
-    hit[hit] = keys[pos[hit]] == probe[hit]
-    return hit
-
-
-@functools.cache
-def _halo_offsets(m: int) -> np.ndarray:
-    """The 3^m - 1 nonzero cell offsets of the one-cell halo."""
-    off = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int64)
-    return off[off.any(axis=1)]
+def _label(mask: np.ndarray, seam) -> np.ndarray:
+    """Face-connected components of a boolean array by union-find over
+    neighbour pairs: each True cell gets the smallest flat index of its
+    component, every other cell -1.  An axis flagged in seam joins its
+    last cell to its first."""
+    ids = np.arange(mask.size).reshape(mask.shape)
+    a, b = [], []
+    for d in range(mask.ndim):
+        pair = mask & np.roll(mask, -1, axis=d)
+        if not seam[d]:
+            pair[(slice(None),) * d + (-1,)] = False
+        a.append(ids[pair])
+        b.append(np.roll(ids, -1, axis=d)[pair])
+    a, b = np.concatenate(a), np.concatenate(b)
+    parent = np.arange(mask.size)
+    while (hook := parent[a] != parent[b]).any():
+        # hook the larger root onto the smaller, then jump to the roots
+        pa, pb = parent[a[hook]], parent[b[hook]]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while not np.array_equal(parent, up := parent[parent]):
+            parent = up
+    return np.where(mask, parent.reshape(mask.shape), -1)
 
 
 @dataclass
@@ -130,13 +129,8 @@ class ComponentRegion:
     blocks: dict                # chart -> _CellBlock
     sigma_max: float
     charts: list = field(repr=False)
-    keys: dict = field(init=False, repr=False)  # chart -> sorted int64 cell keys
-
-    def __post_init__(self):
-        self.keys = {
-            c: np.sort(_pack_keys(b.idx, self.cell_counts[c], self.charts[c].periodic))
-            for c, b in self.blocks.items()
-        }
+    # chart -> (lo, halo): the window's first cell, unwrapped, and region mask grown by a cell
+    windows: dict = field(repr=False)
 
     @property
     def total_cells(self) -> int:
@@ -146,18 +140,14 @@ class ComponentRegion:
         """Cell membership with a one-cell halo: a row is inside when its
         cell or one of the 3^m - 1 cells around it belongs to the region."""
         coords = np.atleast_2d(coords)
-        keys = self.keys.get(chart)
-        if keys is None:
-            return np.zeros(len(coords), dtype=bool)
+        out = np.zeros(len(coords), dtype=bool)
+        if chart not in self.windows:
+            return out
+        lo, halo = self.windows[chart]
         ch = self.charts[chart]
-        counts = self.cell_counts[chart]
-        idx = _cell_index(ch, self.cell_sizes[chart], coords)
-        out = _in_sorted(keys, _pack_keys(idx, counts, ch.periodic))
-        rest = np.nonzero(~out)[0]
-        if len(rest):
-            probe = (idx[rest, None, :] + _halo_offsets(ch.dim)).reshape(-1, ch.dim)
-            near = _in_sorted(keys, _pack_keys(probe, counts, ch.periodic))
-            out[rest] = near.reshape(len(rest), -1).any(axis=1)
+        pos, ok = _window_pos(_cell_index(ch, self.cell_sizes[chart], coords), lo,
+                              halo.shape, self.cell_counts[chart], ch.periodic)
+        out[ok] = halo[tuple(pos[ok].T)]
         return out
 
 
@@ -202,12 +192,17 @@ def _solve_linear(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
-    """Flood fill of cells whose centers project into the working ball.
+    """Component of the base cell, labelled on one dense cell window per chart.
 
-    Expansion is level-synchronized and vectorized; when the frontier
-    leaves a chart's valid set, the immersion's locate hook continues the
-    fill in an overlapping chart, and a missing continuation raises
-    BoundaryEscape.
+    A window starts as the first-order box of the ball's preimage at the
+    chart's first seed, plus two cells per side.  The seeds and the valid
+    cells whose centers project into the ball are labelled by face
+    connectivity (across a periodic seam the window spans), and the seeds'
+    components kept; a face they touch moves out by half the window width.
+    Kept cells next to an invalid cell are relocated through the
+    immersion's locate hook into the chart that continues them (none:
+    BoundaryEscape), which is relabelled from all its seeds.  Rows are each
+    chart's seeds, base cell first, then window order.
     """
     f = ctx.immersion
     m = f.m
@@ -228,123 +223,121 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
         cell_sizes[ci] = size
         cell_counts[ci] = counts
 
-    def centers_of(ci, idx):
-        return charts[ci].lo + (idx.astype(float) + 0.5) * cell_sizes[ci]
+    def seed_cell(ci, coords):
+        """Cell under coords, periodic axes wrapped; on a bounded axis, a
+        point past the last whole cell gets the last cell."""
+        idx = _cell_index(charts[ci], cell_sizes[ci], coords)[0]
+        counts = cell_counts[ci]
+        return tuple(np.where(charts[ci].periodic, np.mod(idx, counts),
+                              np.clip(idx, 0, counts - 1)).tolist())
 
-    def cells_of(ci, keys):
-        return np.stack(np.unravel_index(keys, cell_counts[ci]), axis=1)
+    def bounds(ci, lo, hi):
+        """(lo, shape) of the window [lo, hi), capped at one period on
+        periodic axes and one cell past the chart on bounded ones."""
+        counts = cell_counts[ci]
+        periodic = np.asarray(charts[ci].periodic)
+        lo = np.where(periodic, lo, np.maximum(lo, -1))
+        hi = np.minimum(hi, np.where(periodic, lo + counts, counts + 1))
+        return lo, hi - lo
 
-    def keys_of(ci, idx):
-        return _pack_keys(idx, cell_counts[ci], charts[ci].periodic)
+    def label(ci):
+        """Label chart ci's seeds on a window covering them, grown until no
+        kept cell lies on a face but a seam; returns lo, the kept mask, the
+        centers of kept cells next to an invalid cell, and their block."""
+        ch, size, counts = charts[ci], cell_sizes[ci], cell_counts[ci]
+        periodic = np.asarray(ch.periodic)
+        if ci in kept:
+            lo, shape = kept[ci][0], np.array(kept[ci][1].shape)
+        else:
+            cell, coords = next(iter(seeds[ci].items()))
+            jac = f.jacobian_chart(ci, coords)
+            half = r * np.sqrt(np.diag(np.linalg.pinv(jac.T @ jac))) / size
+            half = np.minimum(np.ceil(half) + 2, counts + 1).astype(np.int64)
+            lo, shape = bounds(ci, cell - half, cell + half + 1)
+        cells = np.array(list(seeds[ci]))
+        pos, _ = _window_pos(cells, lo, shape, counts, periodic)
+        lo, shape = bounds(ci, lo + np.minimum(pos.min(axis=0), 0),
+                           lo + np.maximum(pos.max(axis=0) + 1, shape))
+        while True:
+            if np.prod(shape) > CELL_BUDGET:
+                raise GeometryError(f"component window exceeded the cell budget "
+                                    f"({CELL_BUDGET}); refine the radius or the grid step")
+            at = np.ravel_multi_index(
+                tuple(_window_pos(cells, lo, shape, counts, periodic)[0].T), shape)
+            idx = lo + np.indices(shape).reshape(m, -1).T
+            idx = np.where(periodic, np.mod(idx, counts), idx)
+            valid = ((idx >= 0) & (idx < counts)).all(axis=1)
+            center = ch.lo + (idx + 0.5) * size
+            if ch.inside is not None:
+                valid[valid] = ch.inside(center[valid])
+            test = valid.copy()
+            test[at] = True  # seeds skip the valid-set test
+            y = ctx.frame_coords(ci, center[test])
+            ball = np.zeros(len(idx), dtype=bool)
+            ball[test] = np.linalg.norm(y[:, :m], axis=1) < r
+            seam = periodic & (shape == counts)
+            labels = _label(ball.reshape(shape), seam).ravel()
+            keep = ball & np.isin(labels, labels[at[ball[at]]])
+            window = keep.reshape(shape)
+            touch = np.array([[window.take(end, axis=d).any() for end in (0, -1)]
+                              for d in range(m)]) & ~seam[:, None]
+            if not touch.any():
+                break
+            step = np.maximum(1, shape // 2)
+            lo, shape = bounds(ci, lo - step * touch[:, 0], lo + shape + step * touch[:, 1])
+        if ci == base.chart and not ball[at[0]]:
+            raise GeometryError("base cell rejected; radius too small for the grid step")
 
-    def keys_at(ci, coords):
-        """Keys of the cells under parameter coords of chart ci; on a bounded
-        axis, a point past the last whole cell gets the last cell."""
-        idx = _cell_index(charts[ci], cell_sizes[ci], coords)
-        bounded = ~np.asarray(charts[ci].periodic)
-        idx[:, bounded] = np.clip(idx[:, bounded], 0, cell_counts[ci][bounded] - 1)
-        return keys_of(ci, idx)
+        invalid = ~valid.reshape(shape)
+        near = np.zeros(shape, dtype=bool)
+        for d in range(m):
+            near |= np.roll(invalid, 1, axis=d) | np.roll(invalid, -1, axis=d)
+        lead = at[keep[at]]  # seeds first, in arrival order
+        rest = keep.copy()
+        rest[lead] = False
+        pick = np.concatenate([lead, np.flatnonzero(rest)])
+        y = y[(np.cumsum(test) - 1)[pick]]
+        sig, _ = _singular_extremes(f.jacobian_chart(ci, center[pick]))
+        block = _CellBlock(idx[pick], center[pick], y[:, :m], y[:, m:], sig)
+        return lo, window, center[keep & near.ravel()], block
 
-    visited = {ci: np.zeros(0, dtype=np.int64) for ci in range(len(charts))}
-    accepted = {ci: [] for ci in range(len(charts))}
-    unit = np.eye(m, dtype=np.int64)
-
-    def in_domain(ci, keys):
-        """Mask of the keys whose cell lies in chart ci's valid set."""
-        ok = keys >= 0
-        inside = charts[ci].inside
-        if inside is not None and ok.any():
-            ok[ok] = inside(centers_of(ci, cells_of(ci, keys[ok])))
-        return ok
-
-    def admit(ci, keys):
-        """Evaluate the unvisited cells of keys in first-occurrence order;
-        store and return the indices of those inside the ball."""
-        uniq, first = np.unique(keys, return_index=True)
-        fresh = ~_in_sorted(visited[ci], uniq)
-        if not fresh.any():
-            return np.zeros((0, m), dtype=np.int64)
-        new = uniq[fresh]
-        visited[ci] = np.insert(visited[ci], np.searchsorted(visited[ci], new), new)
-        idx = cells_of(ci, keys[np.sort(first[fresh])])
-        cen = centers_of(ci, idx)
-        y = ctx.frame_coords(ci, cen)
-        x_c = y[:, :m]
-        u_c = y[:, m:]
-        sig, _ = _singular_extremes(f.jacobian_chart(ci, cen))
-        ok = np.linalg.norm(x_c, axis=1) < r
-        if ok.any():
-            accepted[ci].append((idx[ok], cen[ok], x_c[ok], u_c[ok], sig[ok]))
-        return idx[ok]
-
-    # Seed with the base point's cell.
     base = ctx.base_point
-    frontier = {base.chart: admit(base.chart, keys_at(base.chart, base.coords))}
-    if len(frontier[base.chart]) == 0:
-        raise GeometryError("base cell rejected; radius too small for the grid step")
+    seeds = {base.chart: {seed_cell(base.chart, base.coords): base.coords}}
+    kept, blocks = {}, {}  # chart -> (lo, kept mask of the window), block
+    todo = [base.chart]
+    while todo:
+        ci = todo.pop(0)
+        lo, window, escapes, blocks[ci] = label(ci)
+        kept[ci] = (lo, window)
+        for ambient in f.eval_chart(ci, escapes):
+            target = f.locate(ambient, exclude=ci) if f.locate else None
+            if target is None:
+                raise BoundaryEscape(f"component reached the boundary of chart {ci} "
+                                     "and no chart continues it")
+            tc = int(target.chart)
+            cell = seed_cell(tc, target.coords)
+            if cell not in seeds.setdefault(tc, {}):
+                seeds[tc][cell] = target.coords
+                if tc not in todo:
+                    todo.append(tc)
 
-    while frontier:
-        next_frontier = {}
-        escapes = []  # (chart, source cell index row)
-        for ci, idxs in frontier.items():
-            nbr = np.concatenate([idxs + u for u in unit] + [idxs - u for u in unit])
-            src = np.concatenate([idxs] * (2 * m))
-            keys = keys_of(ci, nbr)
-            in_dom = in_domain(ci, keys)
-            if not in_dom.all():
-                escapes.extend((ci, tuple(s)) for s in src[~in_dom].tolist())
-            grown = admit(ci, keys[in_dom])
-            if len(grown):
-                next_frontier.setdefault(ci, []).append(grown)
-
-        if escapes:
-            relocated = {}
-            for ci, src_cell in set(escapes):
-                if f.locate is None:
-                    raise BoundaryEscape(
-                        f"component reached the boundary of chart {ci} and the "
-                        "immersion has no continuing chart"
-                    )
-                center = centers_of(ci, np.array([src_cell], dtype=np.int64))[0]
-                ambient = f.eval_chart(ci, center)
-                target = f.locate(ambient, exclude=ci)
-                if target is None:
-                    raise BoundaryEscape(
-                        f"no chart continues the component beyond chart {ci}"
-                    )
-                relocated.setdefault(target.chart, []).append(target.coords)
-            for ci, coords in relocated.items():
-                grown = admit(ci, keys_at(ci, np.stack(coords)))
-                if len(grown):
-                    next_frontier.setdefault(ci, []).append(grown)
-
-        frontier = {ci: np.concatenate(rows) for ci, rows in next_frontier.items()}
-        if sum(len(v) for v in visited.values()) > CELL_BUDGET:
-            raise GeometryError(
-                f"component exceeded the cell budget ({CELL_BUDGET}); "
-                "refine the radius or the grid step"
-            )
-
-    blocks = {}
-    sigma_max = 0.0
-    for ci, chunks in accepted.items():
-        if not chunks:
-            continue
-        idx = np.concatenate([c[0] for c in chunks])
-        cen = np.concatenate([c[1] for c in chunks])
-        x_c = np.concatenate([c[2] for c in chunks])
-        u_c = np.concatenate([c[3] for c in chunks])
-        sig = np.concatenate([c[4] for c in chunks])
-        blocks[ci] = _CellBlock(idx, cen, x_c, u_c, sig)
-        sigma_max = max(sigma_max, float(sig.max()))
+    blocks = {ci: b for ci, b in sorted(blocks.items()) if len(b.idx)}
+    halos = {}
+    for ci in blocks:
+        lo, halo = kept[ci]
+        halo = halo.copy()
+        for d in range(m):
+            halo |= np.roll(halo, 1, axis=d) | np.roll(halo, -1, axis=d)
+        halos[ci] = (lo, halo)
 
     return ComponentRegion(
         h=h,
         cell_sizes=cell_sizes,
         cell_counts=cell_counts,
         blocks=blocks,
-        sigma_max=sigma_max,
+        sigma_max=max(float(b.sigma.max()) for b in blocks.values()),
         charts=charts,
+        windows=halos,
     )
 
 

@@ -10,7 +10,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .errors import PreconditionViolated
 
@@ -146,8 +145,10 @@ class Subspace:
     def max_principal_angle(self, other: "Subspace") -> float:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             raise ValueError("subspace dimensions do not agree")
-        angles = subspace_angles(self.basis, other.basis)
-        return float(angles.max()) if angles.size else 0.0
+        # sine: norm of other's basis off this span; cosine: smallest singular value of A^T B
+        cross = self.basis.T @ other.basis
+        sine = _singular_extremes(other.basis - self.basis @ cross)[0]
+        return float(np.arctan2(sine, _singular_extremes(cross)[1]))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

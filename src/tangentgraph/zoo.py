@@ -129,6 +129,8 @@ class ParamImmersion:
     def sample_points(self, per_axis: int = None) -> list:
         """Deterministic grid sample covering the represented portion of M."""
         per_axis = self.sample_per_axis if per_axis is None else per_axis
+        if per_axis < 0:
+            raise ValueError(f"per_axis must be non-negative, got {per_axis}")
         out = []
         for ci, chart in enumerate(self.charts):
             axes = []

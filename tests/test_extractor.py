@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tangentgraph as tg
 from tangentgraph import BoundaryEscape, GeometryError, NoConvergence, NotAGraph
@@ -63,12 +64,13 @@ class TestComponent:
 
 @pytest.fixture(scope="module")
 def regions(circle, sphere, torus):
-    """Components that cross a periodic seam (torus, circle) or two charts
-    (sphere), keyed by name."""
+    """Components that cross a periodic seam (torus, circle), wrap a whole
+    periodic axis (torus) or span two charts (sphere), keyed by name."""
     cases = {
         "torus-seam": (torus, torus.point(0, [0.3, math.pi - 1e-3]), 0.2),
         "sphere-two-charts": (sphere, sphere.point(4, [0.8, 0.1]), 0.3),
         "circle-seam": (circle, circle.point(0, [3.0]), 0.5),
+        "torus-wrap": (torus, torus.point(0, [0.1, 0.2]), 0.9),
     }
     return {
         name: (q, tg.component(tg.FrameContext.at(f, q, r), refine_check=False))
@@ -100,7 +102,7 @@ def halo_cells(region, chart):
 
 class TestRegionMembership:
     @pytest.mark.parametrize("name", ["torus-seam", "sphere-two-charts",
-                                      "circle-seam"])
+                                      "circle-seam", "torus-wrap"])
     def test_contains_matches_brute_force(self, regions, name):
         _, region = regions[name]
         rng = np.random.default_rng(3)
@@ -135,7 +137,8 @@ class TestRegionMembership:
         coords = np.random.default_rng(5).uniform(-0.5, 0.5, (200, 2))
         assert not region.contains(1, coords).any()
 
-    @pytest.mark.parametrize("name", ["torus-seam", "sphere-two-charts"])
+    @pytest.mark.parametrize("name", ["torus-seam", "sphere-two-charts",
+                                      "torus-wrap"])
     def test_flood_accepts_each_cell_once(self, regions, name):
         q, region = regions[name]
         for block in region.blocks.values():
@@ -161,6 +164,71 @@ class TestRegionMembership:
         column = region.blocks[0].idx[:, 1]
         assert column.min() == 0
         assert column.max() == region.cell_counts[0][1] - 1
+
+    def test_torus_region_wraps_its_phi_axis(self, regions):
+        _, region = regions["torus-wrap"]
+        columns = np.unique(region.blocks[0].idx[:, 1])
+        assert len(columns) == region.cell_counts[0][1] == 723
+
+    def test_seed_cell_outside_the_valid_set(self, sphere):
+        # the base point lies inside chart 0's disc, its cell centre outside;
+        # a seed skips the valid-set test, as it always has
+        q = sphere.point(0, [0.636, 0.636])
+        region = tg.component(tg.FrameContext.at(sphere, q, 0.2), refine_check=False)
+        block = region.blocks[0]
+        assert not sphere.charts[0].inside(block.center[0])
+        assert tuple(block.idx[0]) == point_cells(region, 0, q.coords[None, :])[0]
+        assert region.contains(0, q.coords)[0]
+
+    def test_three_dimensional_window_fits_the_budget(self):
+        g = tg.zoo_build("graph_of", {"m": 3})
+        ctx = tg.FrameContext.at(g, g.point(0, [0.5, -0.3, 0.2]), 0.3)
+        region = tg.component(ctx, refine_check=False)
+        assert region.total_cells == 419_270
+
+
+def bfs_labels(mask, seam):
+    """Reference labelling: breadth-first search from each unlabelled cell
+    in flat order, so a component's label is its smallest flat index."""
+    labels = np.full(mask.shape, -1)
+    for start in zip(*np.nonzero(mask)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = np.ravel_multi_index(start, mask.shape)
+        queue = [start]
+        while queue:
+            cell = queue.pop()
+            for d, step in itertools.product(range(mask.ndim), (-1, 1)):
+                nb = list(cell)
+                nb[d] += step
+                if not 0 <= nb[d] < mask.shape[d]:
+                    if not seam[d]:
+                        continue
+                    nb[d] %= mask.shape[d]
+                nb = tuple(nb)
+                if mask[nb] and labels[nb] < 0:
+                    labels[nb] = labels[start]
+                    queue.append(nb)
+    return labels
+
+
+@st.composite
+def label_cases(draw):
+    m = draw(st.sampled_from([1, 2, 3]))
+    side = {1: 40, 2: 12, 3: 6}[m]
+    shape = tuple(draw(st.lists(st.integers(1, side), min_size=m, max_size=m)))
+    seam = tuple(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    density = draw(st.floats(0.3, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < density, seam
+
+
+class TestLabel:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(label_cases())
+    def test_matches_breadth_first_search(self, case):
+        mask, seam = case
+        assert np.array_equal(extractor._label(mask, seam), bfs_labels(mask, seam))
 
 
 class TestSolveHeight:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +83,47 @@ class TestSubspace:
         e1 = Subspace(np.array([[1.0], [0.0]]))
         e2 = Subspace(np.array([[0.0], [1.0]]))
         assert e1 != e2
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_largest_angle_matches_scipy_below_one_radian(self, n, data):
+        from scipy.linalg import subspace_angles
+
+        m = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tilt = data.draw(st.floats(0.0, 1.0))
+        span = rng.standard_normal((n, m))
+        a = Subspace.from_span(span)
+        b = Subspace.from_span(span + tilt * rng.standard_normal((n, m)))
+        reference = subspace_angles(a.basis, b.basis).max()
+        if reference < 1.0:
+            assert abs(a.max_principal_angle(b) - reference) <= 1e-14
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_largest_angle_matches_constructed_angles(self, n, data):
+        # b turns the i-th basis vector of a by angle i toward a normal
+        # vector, so its principal angles against a are exactly the angles
+        m = data.draw(st.integers(1, n - 1))
+        largest = data.draw(st.floats(0.0, math.pi / 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        turns = min(m, n - m)
+        angles = np.concatenate([[largest], rng.uniform(0.0, largest, turns - 1)])
+        q = random_rotation(n, rng)
+        b = q[:, :m].copy()
+        b[:, :turns] = (np.cos(angles) * q[:, :turns]
+                        + np.sin(angles) * q[:, m:m + turns])
+        a = Subspace(q[:, :m])
+        b = Subspace(b @ random_rotation(m, rng))
+        assert abs(a.max_principal_angle(b) - largest) <= 1e-14
+        assert abs(b.max_principal_angle(a) - largest) <= 1e-14
+
+    def test_package_import_loads_no_scipy(self):
+        code = ("import sys, tangentgraph; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestIsometry:

@@ -182,6 +182,11 @@ class TestSamplerInvariants:
         assert circle.sample_points(per_axis=0) == []
         assert len(circle.sample_points()) == circle.sample_per_axis
 
+    @pytest.mark.parametrize("name", ["circle", "torus", "sphere2", "graph_of"])
+    def test_negative_per_axis_is_rejected(self, name):
+        with pytest.raises(ValueError, match="per_axis must be non-negative"):
+            tg.zoo_build(name).sample_points(per_axis=-1)
+
 
 class TestTransforms:
     def test_rigid_motion_moves_image(self, circle):
