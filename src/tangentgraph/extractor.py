@@ -406,24 +406,30 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     heights = np.zeros((B, k))
     strikes = np.zeros(B, dtype=np.int8)
 
+    # frame coords of each row's iterate; fresh where the line search
+    # already evaluated them at the accepted candidate
+    y = np.empty((B, f.n))
+    fresh = np.zeros(B, dtype=bool)
     active = status == -1
     for _ in range(NEWTON_MAX_ITER):
         if not active.any():
             break
-        y = _per_chart(ctx.frame_coords, chart[active], coords[active])
-        g = y[:, :m] - targets[active]
+        stale = active & ~fresh
+        if stale.any():
+            y[stale] = _per_chart(ctx.frame_coords, chart[stale], coords[stale])
+        act_idx = np.nonzero(active)[0]
+        g = y[act_idx, :m] - targets[act_idx]
         res = np.linalg.norm(g, axis=1)
         conv = res <= tol
-        act_idx = np.nonzero(active)[0]
         if conv.any():
             rows = act_idx[conv]
             status[rows] = _SOLVE_OK
-            heights[rows] = y[conv][:, m:]
+            heights[rows] = y[rows, m:]
             active[rows] = False
             if not active.any():
                 break
             keep = ~conv
-            y, g, res, act_idx = y[keep], g[keep], res[keep], act_idx[keep]
+            g, res, act_idx = g[keep], res[keep], act_idx[keep]
 
         # Newton step in the frame projection.
         cs = chart[act_idx]
@@ -435,8 +441,8 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
         # then a quarter of the step, keeping their best candidate.
         cur, tgt = coords[act_idx], targets[act_idx]
         best = _constrain_to_charts(f, cs, cur, cur - step)
-        yc = _per_chart(ctx.frame_coords, cs, best)
-        best_res = np.linalg.norm(yc[:, :m] - tgt, axis=1)
+        best_y = _per_chart(ctx.frame_coords, cs, best)
+        best_res = np.linalg.norm(best_y[:, :m] - tgt, axis=1)
         retry = np.nonzero(~(best_res <= res * (1 - 1e-4)))[0]
         for scale in (0.5, 0.25):
             if not len(retry):
@@ -447,9 +453,12 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             res_new = np.linalg.norm(yc[:, :m] - tgt[retry], axis=1)
             better = res_new < best_res[retry]
             best[retry[better]] = cand[better]
+            best_y[retry[better]] = yc[better]
             best_res[retry[better]] = res_new[better]
             retry = retry[~(res_new <= res[retry] * (1 - 1e-4))]
         coords[act_idx] = best
+        y[act_idx] = best_y
+        fresh[act_idx] = True
 
         # Pinned at a domain boundary: try to continue in another chart.
         pinned = np.linalg.norm(best - cur, axis=1) < 1e-12 * (
@@ -462,6 +471,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                 if target is not None:
                     chart[row] = target.chart
                     coords[row] = target.coords
+                    fresh[row] = False
 
         # Region escape bookkeeping.
         inside = _per_chart(region.contains, chart[act_idx], coords[act_idx])
@@ -581,8 +591,8 @@ def extract(ctx: FrameContext, N: int, h: float = None,
     """Graph sample over the working ball on an N-per-axis grid.
 
     Nodes are solved by continuation outward from the center in blocks of
-    Chebyshev rings, each node seeded from a solved node further in.  Status
-    semantics: multi_sheet when two separated region cells land in one
+    N/4 Chebyshev rings, each node seeded from a solved node further in.
+    Status semantics: multi_sheet when two separated region cells land in one
     grid cell, vertical when the tangent space has no slope matrix in the
     frame, uncovered when the solve failed or never reached the node.
     """
@@ -595,8 +605,11 @@ def extract(ctx: FrameContext, N: int, h: float = None,
 def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
                    coords, center, shape):
     """Solve the nodes node_idx of a lattice of the given shape, targets
-    coords, in blocks of Chebyshev rings (max(1, max(shape) / 64) wide)
-    outward from center; the first block is seeded from the base point.
+    coords, by continuation outward from center in blocks of
+    max(1, max(shape) / 4) Chebyshev rings.  A block's rows are seeded
+    from the base point in the first block and otherwise from the solved
+    node nearest their radial projection onto the ring just inside the
+    block; rows that fail stay unsolved.
 
     Returns (node_map, solved, p_chart, p_coords, heights).
     """
@@ -612,7 +625,7 @@ def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
     p_coords = np.zeros((P, m))
     solved = np.zeros(P, dtype=bool)
 
-    bw = max(1.0, max(shape) / 64.0)
+    bw = max(1.0, max(shape) / 4.0)
     block_of = np.floor(lvl / bw).astype(np.int64)
 
     for b in np.unique(block_of):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +266,65 @@ class TestSolveHeight:
         with pytest.raises((NoConvergence, tg.LeftRegion)):
             tg.solve_height(ctx, region, [1.15], circle.point(0, [0.0]))
 
+    def test_one_newton_step_evaluates_the_frame_twice(self, monkeypatch):
+        # the flat graph is linear in its parameter, so one step converges;
+        # the line search's evaluation at the accepted point is reused
+        f = tg.zoo_build("flat", {"m": 2, "k": 1})
+        ctx = tg.FrameContext.at(f, f.point(0, [0.0, 0.0]), 1.0)
+        region = tg.component(ctx)
+        frames, jacobians = [], []
+        real_frame, real_jac = tg.FrameContext.frame_coords, f.jacobian_chart
+
+        def frame_coords(self, chart, coords):
+            frames.append(chart)
+            return real_frame(self, chart, coords)
+
+        def jacobian_chart(chart, coords):
+            jacobians.append(chart)
+            return real_jac(chart, coords)
+
+        monkeypatch.setattr(tg.FrameContext, "frame_coords", frame_coords)
+        monkeypatch.setattr(f, "jacobian_chart", jacobian_chart)
+        targets = np.array([[0.2, -0.3], [0.5, 0.1], [-0.4, 0.6]])
+        status, _, coords, _ = extractor._solve_batch(
+            ctx, region, targets, np.zeros(3, dtype=np.int64), np.zeros((3, 2)))
+        assert (status == extractor._SOLVE_OK).all()
+        assert np.allclose(coords, targets, atol=1e-12)
+        assert len(jacobians) == 1
+        assert len(frames) == 2
+
+    def test_relocated_row_is_evaluated_in_its_new_chart(self, sphere, monkeypatch):
+        # the target's parameter lies past chart 0's edge: the iterate is
+        # pinned there and relocated into chart 2, whose frame coords must
+        # be evaluated afresh at the located parameter
+        q = sphere.point(0, [0.8, 0.0])
+        ctx = tg.FrameContext.at(sphere, q, 0.5)
+        region = tg.component(ctx, refine_check=False)
+        x = ctx.iso.inverse_apply(np.array([math.sqrt(1 - 0.95**2), 0.95, 0.0]))[:2]
+        located, frames = [], []
+        real_locate, real_frame = sphere.locate, tg.FrameContext.frame_coords
+
+        def locate(ambient, exclude=None):
+            target = real_locate(ambient, exclude=exclude)
+            if target is not None:
+                located.append(target)
+            return target
+
+        def frame_coords(self, chart, coords):
+            frames.append((chart, np.array(coords, copy=True)))
+            return real_frame(self, chart, coords)
+
+        monkeypatch.setattr(sphere, "locate", locate)
+        monkeypatch.setattr(tg.FrameContext, "frame_coords", frame_coords)
+        p, u = tg.solve_height(ctx, region, x, q)
+        assert p.chart == 2 and [t.chart for t in located] == [2]
+        first = next(coords for chart, coords in frames if chart == 2)
+        assert np.array_equal(first, located[0].coords[None, :])
+        assert abs(u[0]) == pytest.approx(1.0 - math.sqrt(1.0 - x @ x), abs=1e-9)
+        # reference parameter and height of this solve
+        assert np.allclose(p.coords, [0.0, 0.3122498999579297], rtol=0, atol=1e-12)
+        assert u[0] == pytest.approx(-0.05265006003523665, rel=0, abs=1e-12)
+
 
 class TestExtract:
     def test_flat_zero_graph(self):
@@ -289,11 +350,26 @@ class TestExtract:
         assert c0_exact <= est.c0 <= c0_exact + 0.5 / 256 * (lip_exact + 1e-6)
 
     def test_circle_two_sheets_at_large_radius(self, circle):
+        # the outer block leaves 22 rows unsolved
         sample = tg.extract(circle_ctx(circle, 1.2), 128, refine_check=False)
-        counts = sample.status_counts()
-        assert counts["multi_sheet"] > 0
+        assert sample.status_counts() == {"ok": 20, "vertical": 0,
+                                          "multi_sheet": 86, "uncovered": 22}
         with pytest.raises(NotAGraph):
             tg.norms(sample)
+
+    def test_region_freed_without_the_cycle_collector(self, circle):
+        # a reference cycle through the solve would keep the region and the
+        # lattice arrays alive until the cyclic collector runs
+        ctx = circle_ctx(circle, 1.2)
+        region = tg.component(ctx, refine_check=False)
+        ref = weakref.ref(region)
+        gc.disable()
+        try:
+            sample = extractor._extract_on_region(ctx, region, 128)
+            del region, sample
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_vertical_sentinel_near_limit_radius(self, circle):
         # just below the half-circle limit the rim slope explodes; the norm
