@@ -388,17 +388,19 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                  seed_coords):
     """Damped Newton for the frame projection equation, batched over targets.
 
-    Solves pi(frame(f(t))) = x per row.  Steps that leave a chart's valid
-    set are shrunk to the boundary and, when pinned there, the iterate is
-    relocated into an overlapping chart.  Iterates that stay outside the
-    component region for two consecutive iterations are abandoned as
-    LeftRegion; the rest either converge or report NoConvergence.
+    Solves pi(frame(f(t))) = x per row.  Each iteration steps the rows of
+    each chart together.  Steps that leave a chart's valid set are shrunk to
+    the boundary and, when pinned there, the iterate is relocated into an
+    overlapping chart.  Iterates that stay outside the component region for
+    two consecutive iterations are abandoned as LeftRegion; the rest either
+    converge or report NoConvergence.
     """
     f = ctx.immersion
     m, k = f.m, f.k
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     B = targets.shape[0]
     tol = 1e-10 * max(1.0, ctx.radius)
+    proj = ctx.iso.rotation.T[:m]
 
     chart = np.asarray(seed_charts, dtype=np.int64).copy()
     coords = np.atleast_2d(np.asarray(seed_coords, dtype=float)).copy()
@@ -412,105 +414,94 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     fresh = np.zeros(B, dtype=bool)
     active = status == -1
     for _ in range(NEWTON_MAX_ITER):
-        if not active.any():
-            break
-        stale = active & ~fresh
-        if stale.any():
-            y[stale] = _per_chart(ctx.frame_coords, chart[stale], coords[stale])
         act_idx = np.nonzero(active)[0]
-        g = y[act_idx, :m] - targets[act_idx]
-        res = np.linalg.norm(g, axis=1)
-        conv = res <= tol
-        if conv.any():
-            rows = act_idx[conv]
-            status[rows] = _SOLVE_OK
-            heights[rows] = y[rows, m:]
-            active[rows] = False
-            if not active.any():
-                break
-            keep = ~conv
-            g, res, act_idx = g[keep], res[keep], act_idx[keep]
+        # grouped before any row steps, so a relocated row waits a turn
+        groups = [(int(c), act_idx[chart[act_idx] == c]) for c in np.unique(chart[act_idx])]
+        for c, rows in groups:
+            stale = rows[~fresh[rows]]
+            if len(stale):
+                y[stale] = ctx.frame_coords(c, coords[stale])
+            g = y[rows, :m] - targets[rows]
+            res = np.linalg.norm(g, axis=1)
+            conv = res <= tol
+            status[rows[conv]] = _SOLVE_OK
+            heights[rows[conv]] = y[rows[conv], m:]
+            active[rows[conv]] = False
+            rows, g, res = rows[~conv], g[~conv], res[~conv]
+            if not len(rows):
+                continue
 
-        # Newton step in the frame projection.
-        cs = chart[act_idx]
-        jac = _per_chart(f.jacobian_chart, cs, coords[act_idx])
-        jg = np.einsum("ij,bjl->bil", ctx.iso.rotation.T[:m], jac)
-        step = _solve_linear(jg, g)
+            # Newton step in the frame projection.
+            cur, tgt = coords[rows], targets[rows]
+            jac = f.jacobian_chart(c, cur)
+            step = _solve_linear(np.einsum("ij,bjl->bil", proj, jac), g)
 
-        # Backtracking: rows whose residual did not drop retry at half and
-        # then a quarter of the step, keeping their best candidate.
-        cur, tgt = coords[act_idx], targets[act_idx]
-        best = _constrain_to_charts(f, cs, cur, cur - step)
-        best_y = _per_chart(ctx.frame_coords, cs, best)
-        best_res = np.linalg.norm(best_y[:, :m] - tgt, axis=1)
-        retry = np.nonzero(~(best_res <= res * (1 - 1e-4)))[0]
-        for scale in (0.5, 0.25):
-            if not len(retry):
-                break
-            cand = _constrain_to_charts(f, cs[retry], cur[retry],
-                                        cur[retry] - scale * step[retry])
-            yc = _per_chart(ctx.frame_coords, cs[retry], cand)
-            res_new = np.linalg.norm(yc[:, :m] - tgt[retry], axis=1)
-            better = res_new < best_res[retry]
-            best[retry[better]] = cand[better]
-            best_y[retry[better]] = yc[better]
-            best_res[retry[better]] = res_new[better]
-            retry = retry[~(res_new <= res[retry] * (1 - 1e-4))]
-        coords[act_idx] = best
-        y[act_idx] = best_y
-        fresh[act_idx] = True
+            # Backtracking: rows whose residual did not drop retry at half and
+            # then a quarter of the step, keeping their best candidate.
+            ch = f.charts[c]
+            best = _constrain(ch, cur, cur - step)
+            best_y = ctx.frame_coords(c, best)
+            best_res = np.linalg.norm(best_y[:, :m] - tgt, axis=1)
+            retry = np.nonzero(~(best_res <= res * (1 - 1e-4)))[0]
+            for scale in (0.5, 0.25):
+                if not len(retry):
+                    break
+                cand = _constrain(ch, cur[retry], cur[retry] - scale * step[retry])
+                yc = ctx.frame_coords(c, cand)
+                res_new = np.linalg.norm(yc[:, :m] - tgt[retry], axis=1)
+                better = res_new < best_res[retry]
+                best[retry[better]] = cand[better]
+                best_y[retry[better]] = yc[better]
+                best_res[retry[better]] = res_new[better]
+                retry = retry[~(res_new <= res[retry] * (1 - 1e-4))]
+            coords[rows] = best
+            y[rows] = best_y
+            fresh[rows] = True
 
-        # Pinned at a domain boundary: try to continue in another chart.
-        pinned = np.linalg.norm(best - cur, axis=1) < 1e-12 * (
-            np.linalg.norm(step, axis=1) + 1e-300
-        )
-        if pinned.any() and f.locate is not None:
-            for row in act_idx[pinned]:
-                ambient = f.eval_chart(int(chart[row]), coords[row])
-                target = f.locate(ambient, exclude=int(chart[row]))
-                if target is not None:
-                    chart[row] = target.chart
-                    coords[row] = target.coords
-                    fresh[row] = False
+            # Pinned at a domain boundary: try to continue in another chart.
+            pinned = np.linalg.norm(best - cur, axis=1) < 1e-12 * (
+                np.linalg.norm(step, axis=1) + 1e-300
+            )
+            if pinned.any() and f.locate is not None:
+                for row in rows[pinned]:
+                    target = f.locate(f.eval_chart(c, coords[row]), exclude=c)
+                    if target is not None:
+                        chart[row] = target.chart
+                        coords[row] = target.coords
+                        fresh[row] = False
 
-        # Region escape bookkeeping.
+        # Region escape bookkeeping, in each row's chart after relocation.
+        act_idx = act_idx[active[act_idx]]
+        if not len(act_idx):
+            break
         inside = _per_chart(region.contains, chart[act_idx], coords[act_idx])
         strikes[act_idx[inside]] = 0
         strikes[act_idx[~inside]] += 1
-        left = strikes >= 2
-        if left.any():
-            gone = np.nonzero(left & active)[0]
-            status[gone] = _SOLVE_LEFT
-            active[gone] = False
+        gone = act_idx[strikes[act_idx] >= 2]
+        status[gone] = _SOLVE_LEFT
+        active[gone] = False
 
     status[status == -1] = _SOLVE_NO_CONV
     return status, chart, coords, heights
 
 
-def _constrain_to_charts(f, charts_arr, cur, cand):
-    """Wrap periodic axes; shrink steps that exit a chart's valid set."""
-    m = cur.shape[1]
-
-    def constrain(c, rows):
-        ch = f.charts[c]
-        start, cc = rows[:, :m], rows[:, m:]
-        if all(ch.periodic) and ch.inside is None:
-            return ch.wrap(cc)
-        ok = ch.contains(cc)
-        if not ok.all():
-            delta = cc - start
-            factor = np.ones(len(cc))
-            for _ in range(8):
-                bad = ~ok
-                if not bad.any():
-                    break
-                factor[bad] *= 0.5
-                cc[bad] = start[bad] + factor[bad, None] * delta[bad]
-                ok[bad] = ch.contains(cc[bad])
-            cc[~ok] = start[~ok]
-        return ch.wrap(cc)
-
-    return _per_chart(constrain, charts_arr, np.hstack([cur, cand]))
+def _constrain(chart, start, cand):
+    """Wrap chart's periodic axes; shrink steps from start that exit its valid set."""
+    if all(chart.periodic) and chart.inside is None:
+        return chart.wrap(cand)
+    ok = chart.contains(cand)
+    if not ok.all():
+        delta = cand - start
+        factor = np.ones(len(cand))
+        for _ in range(8):
+            bad = ~ok
+            if not bad.any():
+                break
+            factor[bad] *= 0.5
+            cand[bad] = start[bad] + factor[bad, None] * delta[bad]
+            ok[bad] = chart.contains(cand[bad])
+        cand[~ok] = start[~ok]
+    return chart.wrap(cand)
 
 
 def solve_height(ctx: FrameContext, region: ComponentRegion, x,

@@ -257,13 +257,13 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
         raise PreconditionViolated(
             f"height bound {lam:.3e} exceeds the threshold {cap:.3e}"
         )
+    s = int(nodes_per_rho)
+    if s < 2:
+        raise ValueError("need at least 2 nodes per rho")
     ctx = FrameContext.at(f, q, r)
     _require_c0(ctx, lam, N)
 
     rho = r / 5.0
-    s = int(nodes_per_rho)
-    if s < 2:
-        raise ValueError("need at least 2 nodes per rho")
     delta = rho / s
     rho_eff = s * delta
     bound_l = (8.0 ** -3) * m ** -1.5 * lam / cap

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import tangentgraph as tg
 from tangentgraph import ZOO, InvalidParams, cli, extractor
 from tangentgraph.cli import (
     EXIT_FAIL,
@@ -156,6 +157,40 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
 
+    def test_distance(self, capsys):
+        code, out, _ = run(
+            ["verify", "distance", "--immersion", "circle", "--R", "1",
+             "--lambda", "0.1", "--r", "0.19", "--q", "0.3"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        # rho defaults to r
+        assert json.loads(out)["result"] == {"holds": True, "r": 0.19,
+                                             "rho": 0.19, "lambda": 0.1}
+
+    def test_enlargement_at_given_radius(self, capsys):
+        code, out, _ = run(
+            ["verify", "enlargement", "--immersion", "circle", "--R", "1",
+             "--lambda", "0.05", "--samples", "2", "--r", "0.04"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["result"] == {"holds": True, "r": 0.04,
+                                             "lambda": 0.05}
+
+    def test_enlargement_brackets_its_base_radius(self, capsys):
+        # without --r the base radius is 0.9 r_lo of the slope bracket
+        code, out, _ = run(
+            ["verify", "enlargement", "--immersion", "circle", "--R", "1",
+             "--lambda", "0.05", "--samples", "2"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        f = tg.zoo_build("circle", {"R": 1.0})
+        base = tg.max_radius(f, 0.05, tg.KIND_C1, f.sample_points(per_axis=2))
+        assert json.loads(out)["result"] == {"holds": True, "r": 0.9 * base.r_lo,
+                                             "lambda": 0.05}
+
     def test_inclusion_rejects_grid(self, capsys):
         code, _, err = run(
             ["verify", "inclusion", "--immersion", "circle", "--R", "1",
@@ -247,6 +282,17 @@ class TestCounterexampleCommand:
 
 
 class TestContracts:
+    @pytest.mark.parametrize("args,message", [
+        (["radii", "--kind", "c2", "--immersion", "circle", "--lambda", "0.5"],
+         "invalid choice: 'c2'"),
+        (["radii", "--kind", "c1", "--immersion", "circle", "--lambda", "0.5",
+          "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ])
+    def test_argument_errors_are_invalid(self, capsys, args, message):
+        code, _, err = run(args, capsys)
+        assert code == EXIT_INVALID
+        assert message in err
+
     def test_unknown_entry_is_invalid(self, capsys):
         code, _, _ = run(
             ["radii", "--kind", "c1", "--immersion", "klein", "--lambda",

@@ -336,6 +336,17 @@ class TestExtract:
         assert np.abs(sample.heights).max() == 0.0
         assert np.abs(sample.du[np.isfinite(sample.du)]).max() == 0.0
 
+    def test_three_dimensional_paraboloid(self):
+        # m = 3 Newton steps go through the general batched linear solve
+        g = tg.zoo_build("graph_of", {"m": 3})
+        ctx = tg.FrameContext.at(g, g.point(0, [0.0, 0.0, 0.0]), 0.1)
+        sample = tg.extract(ctx, 9, h=0.1 / 20, refine_check=False)
+        assert sample.status_counts() == {"ok": 257, "vertical": 0,
+                                          "multi_sheet": 0, "uncovered": 0}
+        x = sample.coords
+        assert np.abs(sample.heights[:, 0] - 0.5 * (x * x).sum(axis=1)).max() <= 1e-15
+        assert np.abs(sample.du[:, 0, :] - x).max() <= 1e-15
+
     def test_min_resolution(self, circle):
         with pytest.raises(ValueError):
             tg.extract(circle_ctx(circle, 0.5), 4)

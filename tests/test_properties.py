@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tangentgraph as tg
-from tangentgraph import PreconditionViolated
+from tangentgraph import PreconditionViolated, extractor
 
 PROPERTY_SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
 GRID = 24
@@ -147,3 +147,31 @@ def test_precondition_refusal_matches_height_property(graph, s):
     assert refuses(lambda: tg.certify_du_bound(f, q, r, lam, N=GRID)) == (not holds)
     assert refuses(lambda: tg.check_distance_bound(f, q, r, r, lam, N=GRID)) == (
         not holds)
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_two_chart_component_invariant_under_rigid_motion(seed):
+    # this sphere component spans charts 0 and 4, so the moved immersion
+    # floods and solves through its transformed locate hook; the moved
+    # frame is the rigid motion after the original one
+    sphere = tg.zoo_build("sphere2", {"R": 1.0})
+    q = sphere.point(4, [0.8, 0.1])
+    rng = np.random.default_rng(seed)
+    motion = tg.Isometry(tg.random_rotation(3, rng), rng.standard_normal(3))
+    ctx = tg.FrameContext.at(sphere, q, 0.5)
+    moved = tg.FrameContext.at(tg.transform_immersion(sphere, motion), q, 0.5,
+                               iso=motion.compose(ctx.iso))
+    regions, norms = [], []
+    for c in (ctx, moved):
+        region = tg.component(c, refine_check=False)
+        sample = extractor._extract_on_region(c, region, 17)
+        assert sample.status_counts()["ok"] == len(sample.status)
+        assert set(sample.param_chart.tolist()) == {0, 4}
+        regions.append(region)
+        norms.append(tg.norms(sample))
+    assert ({c: len(b.idx) for c, b in regions[0].blocks.items()}
+            == {c: len(b.idx) for c, b in regions[1].blocks.items()})
+    assert regions[1].sigma_max == pytest.approx(regions[0].sigma_max, rel=1e-12)
+    assert norms[1].c0 == pytest.approx(norms[0].c0, rel=1e-12)
+    assert norms[1].lip == pytest.approx(norms[0].lip, rel=1e-12)

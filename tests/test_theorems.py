@@ -188,6 +188,15 @@ class TestDuCertifier:
         with pytest.raises(PreconditionViolated):
             tg.certify_du_bound(circle, circle.point(0, [0.0]), 0.1, 0.5)
 
+    def test_rejects_one_node_per_rho_before_the_witness(self, circle, monkeypatch):
+        def require_c0(*args, **kwargs):
+            raise AssertionError("nodes_per_rho must be checked first")
+
+        monkeypatch.setattr(theorems, "_require_c0", require_c0)
+        with pytest.raises(ValueError, match="at least 2 nodes per rho"):
+            tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5, 1e-5,
+                                nodes_per_rho=1)
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_lattice_continuation_solves_every_node(self, circle, sphere, m):
         # m = 2 at 12 nodes per rho: three overlapping discs, 960 nodes
