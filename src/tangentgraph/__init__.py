@@ -39,7 +39,6 @@ from .geometry import (
     is_admissible,
     make_admissible_isometry,
     matrix_norm,
-    project_to_first_m,
     randomize_admissible,
     random_rotation,
     subspace_graph_matrix,

@@ -163,32 +163,30 @@ def _per_chart(fn, charts, coords) -> np.ndarray:
     return out
 
 
-def _solve_linear(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve of small square systems with a pseudo-inverse fallback."""
+def _solve_linear(mats: np.ndarray, rhs: np.ndarray):
+    """Batched solve of small square systems: (step, singular).
+
+    A system is singular when |det| <= 1e-14 max|a_ij|^m; it takes no step.
+    """
     m = mats.shape[-1]
     if m == 1:
-        denom = mats[..., 0, 0]
-        safe = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-        out = rhs[..., 0] / safe
-        out = np.where(np.abs(denom) > 1e-300, out, 0.0)
-        return out[..., None]
-    if m == 2:
+        det = mats[..., 0, 0]
+    elif m == 2:
         det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-        scale = np.abs(mats).max(axis=(-1, -2)) ** 2 + 1e-300
-        degenerate = np.abs(det) < 1e-14 * scale
-        inv_det = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, det))
-        sx = inv_det * (mats[..., 1, 1] * rhs[..., 0] - mats[..., 0, 1] * rhs[..., 1])
-        sy = inv_det * (mats[..., 0, 0] * rhs[..., 1] - mats[..., 1, 0] * rhs[..., 0])
-        out = np.stack([sx, sy], axis=-1)
-        if degenerate.any():
-            # damped normal-equation step for the singular rows
-            bad = np.nonzero(degenerate)[0]
-            for i in bad:
-                a = mats[i]
-                mu = 1e-12 * (np.abs(a).max() ** 2 + 1.0)
-                out[i] = np.linalg.solve(a.T @ a + mu * np.eye(m), a.T @ rhs[i])
-        return out
-    return np.linalg.solve(mats, rhs[..., None])[..., 0]
+    else:
+        det = np.linalg.det(mats)
+    singular = np.abs(det) <= 1e-14 * np.abs(mats).max(axis=(-1, -2)) ** m
+    if m > 2:
+        regular = np.where(singular[..., None, None], np.eye(m), mats)
+        step = np.linalg.solve(regular, rhs[..., None])[..., 0]
+        return np.where(singular[..., None], 0.0, step), singular
+    safe = np.where(singular, 1.0, det)
+    if m == 1:
+        return np.where(singular, 0.0, rhs[..., 0] / safe)[..., None], singular
+    inv_det = np.where(singular, 0.0, 1.0 / safe)
+    sx = inv_det * (mats[..., 1, 1] * rhs[..., 0] - mats[..., 0, 1] * rhs[..., 1])
+    sy = inv_det * (mats[..., 0, 0] * rhs[..., 1] - mats[..., 1, 0] * rhs[..., 0])
+    return np.stack([sx, sy], axis=-1), singular
 
 
 def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
@@ -341,20 +339,14 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
     )
 
 
-def component(ctx: FrameContext, h: float = None,
-              refine_check: bool = None) -> ComponentRegion:
+def component(ctx: FrameContext, h: float = None) -> ComponentRegion:
     """Connected component of the base point at grid step h.
 
     With h omitted, the step defaults to r / (32 sigma) with sigma the
     largest Jacobian singular value over the region (re-flooded when the
-    initial base-point estimate proves too small), then the fill is
-    accepted only if halving h changes the scaled cell count by at most
-    one percent; otherwise the finer fill is kept.
+    initial base-point estimate proves too small).
     """
-    if refine_check is None:
-        refine_check = h is None
     r = ctx.radius
-    m = ctx.immersion.m
     if h is not None:
         if h <= 0:
             raise ValueError("cell size must be positive")
@@ -376,11 +368,6 @@ def component(ctx: FrameContext, h: float = None,
         if region.sigma_max <= sigma * (1 + 1e-6):
             break
         sigma = region.sigma_max * 1.05
-    if refine_check:
-        finer = _flood(ctx, region.h / 2.0)
-        coarse_equiv = finer.total_cells / 2**m
-        if abs(coarse_equiv - region.total_cells) > 0.01 * region.total_cells:
-            region = finer
     return region
 
 
@@ -393,7 +380,8 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     the boundary and, when pinned there, the iterate is relocated into an
     overlapping chart.  Iterates that stay outside the component region for
     two consecutive iterations are abandoned as LeftRegion; the rest either
-    converge or report NoConvergence.
+    converge or report NoConvergence.  A row whose Newton system is
+    singular takes no step and ends at once as NoConvergence.
     """
     f = ctx.immersion
     m, k = f.m, f.k
@@ -434,7 +422,13 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             # Newton step in the frame projection.
             cur, tgt = coords[rows], targets[rows]
             jac = f.jacobian_chart(c, cur)
-            step = _solve_linear(np.einsum("ij,bjl->bil", proj, jac), g)
+            step, singular = _solve_linear(np.einsum("ij,bjl->bil", proj, jac), g)
+            if singular.any():
+                status[rows[singular]] = _SOLVE_NO_CONV
+                active[rows[singular]] = False
+                rows, cur, tgt, res, step = (a[~singular] for a in (rows, cur, tgt, res, step))
+                if not len(rows):
+                    continue
 
             # Backtracking: rows whose residual did not drop retry at half and
             # then a quarter of the step, keeping their best candidate.
@@ -459,9 +453,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             fresh[rows] = True
 
             # Pinned at a domain boundary: try to continue in another chart.
-            pinned = np.linalg.norm(best - cur, axis=1) < 1e-12 * (
-                np.linalg.norm(step, axis=1) + 1e-300
-            )
+            pinned = np.linalg.norm(best - cur, axis=1) < 1e-12 * np.linalg.norm(step, axis=1)
             if pinned.any() and f.locate is not None:
                 for row in rows[pinned]:
                     target = f.locate(f.eval_chart(c, coords[row]), exclude=c)
@@ -577,8 +569,7 @@ class NormEstimates:
     lip: float  # inf when a node is vertical
 
 
-def extract(ctx: FrameContext, N: int, h: float = None,
-            refine_check: bool = None) -> GraphSample:
+def extract(ctx: FrameContext, N: int, h: float = None) -> GraphSample:
     """Graph sample over the working ball on an N-per-axis grid.
 
     Nodes are solved by continuation outward from the center in blocks of
@@ -589,7 +580,7 @@ def extract(ctx: FrameContext, N: int, h: float = None,
     """
     if N < 8:
         raise ValueError("grid resolution must be at least 8")
-    region = component(ctx, h, refine_check=refine_check)
+    region = component(ctx, h)
     return _extract_on_region(ctx, region, N)
 
 

@@ -26,14 +26,6 @@ def matrix_norm(a) -> float:
     return float(np.sqrt((a * a).sum()))
 
 
-def project_to_first_m(x, m: int) -> np.ndarray:
-    """Standard projection of ambient vectors onto the first m coordinates."""
-    x = np.asarray(x, dtype=float)
-    if not 0 < m < x.shape[-1]:
-        raise ValueError(f"projection needs 0 < m < n, got m={m}, n={x.shape[-1]}")
-    return x[..., :m]
-
-
 @functools.cache
 def _minor_pairs(n: int):
     """Row index pairs (i < j) of the 2 x 2 minors of an n x 2 matrix."""

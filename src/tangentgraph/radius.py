@@ -59,7 +59,7 @@ def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
     """Local property check at the context's base point and radius."""
     q, r, m = ctx.base_point, ctx.radius, ctx.immersion.m
     try:
-        region = component(ctx, refine_check=False)
+        region = component(ctx)
     except BoundaryEscape as exc:
         return Witness(q, "inconclusive", detail=str(exc))
     # A second sheet fails both properties; skip the node solve when the

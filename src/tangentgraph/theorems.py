@@ -127,14 +127,14 @@ def check_enlargement(f: ParamImmersion, r: float, lam: float, Q,
     return lifted.holds
 
 
-def _require_c0(ctx: FrameContext, lam: float, N: int = None) -> None:
-    """Refuse unless the continuous-graph property holds at the base point."""
-    w = _witness_at(ctx, lam, KIND_C0, N or default_grid(ctx.immersion.m))
+def _require(ctx: FrameContext, lam: float, kind: str, N: int = None) -> None:
+    """Refuse unless the property of the given kind holds at the base point."""
+    w = _witness_at(ctx, lam, kind, N or default_grid(ctx.immersion.m))
     if w.status == "inconclusive":
         raise Inconclusive(w.detail)
     if w.status == "fail":
         raise PreconditionViolated(
-            f"no ({ctx.radius:.6g}, {lam:.6g}) continuous graph at the base "
+            f"no ({ctx.radius:.6g}, {lam:.6g}) {kind} graph at the base "
             f"point: {w.detail}"
         )
 
@@ -155,9 +155,9 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     """
     if not 0 < rho <= r:
         raise ValueError("need 0 < rho <= r")
-    _require_c0(FrameContext.at(f, q, r), lam, N)
+    _require(FrameContext.at(f, q, r), lam, KIND_C0, N)
     ctx_rho = FrameContext.at(f, q, rho)
-    region = component(ctx_rho, refine_check=False)
+    region = component(ctx_rho)
     fq = f.eval(q)
     bound = rho + r * lam
     slack = region.h * region.sigma_max
@@ -174,19 +174,22 @@ def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> b
     """The (2r/5)-component of q sits inside the r-component of each of its
     points, compared cell-by-cell on a shared parameter grid.
 
-    Requires lam <= 1/10.  Membership tolerates a one-cell halo: sampled
-    cells are compared through their centers.
+    Requires lam <= 1/10 and the (r, lam) graph property at q; both are
+    verified and a failure raises PreconditionViolated.  Membership
+    tolerates a one-cell halo: sampled cells are compared through their
+    centers.
     """
     if lam > 0.1 * (1 + 1e-12):
         raise PreconditionViolated(f"slope bound {lam:.6g} exceeds 1/10")
+    _require(FrameContext.at(f, q, r), lam, KIND_C1)
     ctx_q = FrameContext.at(f, q, 0.4 * r)
-    region_q = component(ctx_q, refine_check=False)
+    region_q = component(ctx_q)
     h_shared = region_q.h
     charts = np.concatenate([np.full(len(b.center), c) for c, b in region_q.blocks.items()])
     centers = np.concatenate([b.center for b in region_q.blocks.values()])
     for i in _subsample(len(centers), INCLUSION_POINTS):
         ctx_p = FrameContext.at(f, ParamPoint(int(charts[i]), centers[i]), r)
-        region_p = component(ctx_p, h=h_shared, refine_check=False)
+        region_p = component(ctx_p, h=h_shared)
         for chart, block in region_q.blocks.items():
             inside = region_p.contains(chart, block.center)
             if not inside.all():
@@ -261,7 +264,7 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     if s < 2:
         raise ValueError("need at least 2 nodes per rho")
     ctx = FrameContext.at(f, q, r)
-    _require_c0(ctx, lam, N)
+    _require(ctx, lam, KIND_C0, N)
 
     rho = r / 5.0
     delta = rho / s
@@ -278,7 +281,7 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     all_idx = np.unique(np.concatenate([base_idx, probe_idx]), axis=0)
 
     ctx2 = FrameContext(f, q, ctx.iso, 2.2 * rho)
-    region = component(ctx2, refine_check=False)
+    region = component(ctx2)
     lo = all_idx.min(axis=0)
     node_map, solved, p_chart, p_coords, _ = _solve_lattice(
         ctx2, region, all_idx - lo, all_idx * delta, -lo,

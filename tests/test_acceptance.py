@@ -260,8 +260,8 @@ def test_criterion_8_invariance_suites(acc, circle_acc, torus_acc, sphere_acc):
         ctx_b = tg.FrameContext.at(
             f, q, r, iso=tg.randomize_admissible(ctx_a.iso, f.m, rng)
         )
-        na = tg.norms(tg.extract(ctx_a, n_grid, refine_check=False))
-        nb = tg.norms(tg.extract(ctx_b, n_grid, refine_check=False))
+        na = tg.norms(tg.extract(ctx_a, n_grid))
+        nb = tg.norms(tg.extract(ctx_b, n_grid))
         frame_devs.extend([abs(na.c0 - nb.c0), abs(na.lip - nb.lip)])
     elapsed = time.perf_counter() - t0
     ok = max(deviations) <= 2e-3 and max(frame_devs) <= 1e-6

@@ -152,10 +152,19 @@ class TestVerifyCommand:
     def test_inclusion(self, capsys):
         code, out, _ = run(
             ["verify", "inclusion", "--immersion", "circle", "--R", "1",
-             "--lambda", "0.1", "--r", "0.19", "--q", "0.3"],
+             "--lambda", "0.1", "--r", "0.09", "--q", "0.3"],
             capsys,
         )
         assert code == EXIT_OK
+
+    def test_inclusion_without_slope_property_is_invalid(self, capsys):
+        code, _, err = run(
+            ["verify", "inclusion", "--immersion", "circle", "--R", "1",
+             "--lambda", "0.1", "--r", "0.19", "--q", "0.3"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "lip 0.193525 > 0.1" in err
 
     def test_distance(self, capsys):
         code, out, _ = run(

@@ -38,7 +38,7 @@ class TestComponent:
         assert abs(tmax - math.asin(0.5)) < 2 * region.h
 
     def test_circle_full_cover_at_large_radius(self, circle):
-        region = tg.component(circle_ctx(circle, 1.2), refine_check=False)
+        region = tg.component(circle_ctx(circle, 1.2))
         # every parameter cell of the periodic chart is in the component
         assert region.total_cells == region.cell_counts[0][0]
 
@@ -75,7 +75,7 @@ def regions(circle, sphere, torus):
         "torus-wrap": (torus, torus.point(0, [0.1, 0.2]), 0.9),
     }
     return {
-        name: (q, tg.component(tg.FrameContext.at(f, q, r), refine_check=False))
+        name: (q, tg.component(tg.FrameContext.at(f, q, r)))
         for name, (f, q, r) in cases.items()
     }
 
@@ -176,7 +176,7 @@ class TestRegionMembership:
         # the base point lies inside chart 0's disc, its cell centre outside;
         # a seed skips the valid-set test, as it always has
         q = sphere.point(0, [0.636, 0.636])
-        region = tg.component(tg.FrameContext.at(sphere, q, 0.2), refine_check=False)
+        region = tg.component(tg.FrameContext.at(sphere, q, 0.2))
         block = region.blocks[0]
         assert not sphere.charts[0].inside(block.center[0])
         assert tuple(block.idx[0]) == point_cells(region, 0, q.coords[None, :])[0]
@@ -185,7 +185,7 @@ class TestRegionMembership:
     def test_three_dimensional_window_fits_the_budget(self):
         g = tg.zoo_build("graph_of", {"m": 3})
         ctx = tg.FrameContext.at(g, g.point(0, [0.5, -0.3, 0.2]), 0.3)
-        region = tg.component(ctx, refine_check=False)
+        region = tg.component(ctx)
         assert region.total_cells == 419_270
 
 
@@ -255,14 +255,14 @@ class TestSolveHeight:
     def test_sphere_closed_form(self, sphere):
         q = sphere.point(4, [0.0, 0.0])
         ctx = tg.FrameContext.at(sphere, q, 0.6)
-        region = tg.component(ctx, refine_check=False)
+        region = tg.component(ctx)
         p, u = tg.solve_height(ctx, region, [0.3, 0.4], q)
         assert abs(u[0]) == pytest.approx(1.0 - math.sqrt(1.0 - 0.25),
                                           abs=1e-10)
 
     def test_unreachable_target(self, circle):
         ctx = circle_ctx(circle, 1.2)
-        region = tg.component(ctx, refine_check=False)
+        region = tg.component(ctx)
         with pytest.raises((NoConvergence, tg.LeftRegion)):
             tg.solve_height(ctx, region, [1.15], circle.point(0, [0.0]))
 
@@ -299,7 +299,7 @@ class TestSolveHeight:
         # be evaluated afresh at the located parameter
         q = sphere.point(0, [0.8, 0.0])
         ctx = tg.FrameContext.at(sphere, q, 0.5)
-        region = tg.component(ctx, refine_check=False)
+        region = tg.component(ctx)
         x = ctx.iso.inverse_apply(np.array([math.sqrt(1 - 0.95**2), 0.95, 0.0]))[:2]
         located, frames = [], []
         real_locate, real_frame = sphere.locate, tg.FrameContext.frame_coords
@@ -326,6 +326,54 @@ class TestSolveHeight:
         assert u[0] == pytest.approx(-0.05265006003523665, rel=0, abs=1e-12)
 
 
+    def test_singular_row_ends_unsolved_after_one_jacobian(self, monkeypatch):
+        # row 0's Jacobian is singular at its seed: it takes no step and ends
+        # NO_CONV at once while the flat rows beside it solve in one step
+        f = tg.zoo_build("flat", {"m": 2, "k": 1})
+        ctx = tg.FrameContext.at(f, f.point(0, [0.0, 0.0]), 1.0)
+        region = tg.component(ctx)
+        seeds = np.array([[0.1, 0.1], [0.0, 0.0], [0.0, 0.0]])
+        rows_seen = []
+        real_jac = f.jacobian_chart
+
+        def jacobian_chart(chart, coords):
+            jac = real_jac(chart, coords)
+            marked = (coords == seeds[0]).all(axis=1)
+            rows_seen.append(int(marked.sum()))
+            jac[marked, :2] = [[1.0, 2.0], [2.0, 4.0]]
+            return jac
+
+        monkeypatch.setattr(f, "jacobian_chart", jacobian_chart)
+        targets = np.array([[0.2, -0.3], [0.5, 0.1], [-0.4, 0.6]])
+        status, _, coords, _ = extractor._solve_batch(
+            ctx, region, targets, np.zeros(3, dtype=np.int64), seeds.copy())
+        assert status.tolist() == [extractor._SOLVE_NO_CONV] + [extractor._SOLVE_OK] * 2
+        assert rows_seen == [1]
+        assert np.array_equal(coords[0], seeds[0])
+        assert np.allclose(coords[1:], targets[1:], atol=1e-12)
+
+
+class TestSolveLinear:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_singular_rows_take_no_step(self, m):
+        rng = np.random.default_rng(m)
+        rank_deficient = np.ones((m, m))
+        rank_deficient[0] = 0.0
+        regular = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
+        mats = np.stack([rank_deficient, np.zeros((m, m)), regular])
+        rhs = rng.standard_normal((3, m))
+        step, singular = extractor._solve_linear(mats, rhs)
+        assert singular.tolist() == [True, True, False]
+        assert (step[:2] == 0.0).all()
+        assert np.allclose(step[2], np.linalg.solve(regular, rhs[2]), rtol=1e-12, atol=0)
+
+    def test_singular_rule_is_relative_to_the_matrix(self):
+        mats = np.array([[[1e-100, 0.0], [0.0, 1e-100]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
+        step, singular = extractor._solve_linear(mats, np.ones((2, 2)))
+        assert singular.tolist() == [False, True]
+        assert np.allclose(step[0], [1e100, 1e100], rtol=1e-15, atol=0)
+
+
 class TestExtract:
     def test_flat_zero_graph(self):
         f = tg.zoo_build("flat", {"m": 1, "k": 1})
@@ -340,7 +388,7 @@ class TestExtract:
         # m = 3 Newton steps go through the general batched linear solve
         g = tg.zoo_build("graph_of", {"m": 3})
         ctx = tg.FrameContext.at(g, g.point(0, [0.0, 0.0, 0.0]), 0.1)
-        sample = tg.extract(ctx, 9, h=0.1 / 20, refine_check=False)
+        sample = tg.extract(ctx, 9, h=0.1 / 20)
         assert sample.status_counts() == {"ok": 257, "vertical": 0,
                                           "multi_sheet": 0, "uncovered": 0}
         x = sample.coords
@@ -352,7 +400,7 @@ class TestExtract:
             tg.extract(circle_ctx(circle, 0.5), 4)
 
     def test_circle_norms_closed_form(self, circle):
-        sample = tg.extract(circle_ctx(circle, 0.5), 256, refine_check=False)
+        sample = tg.extract(circle_ctx(circle, 0.5), 256)
         assert all(v == STATUS_OK for v in sample.status)
         est = tg.norms(sample)
         lip_exact = 0.5 / math.sqrt(0.75)
@@ -362,7 +410,7 @@ class TestExtract:
 
     def test_circle_two_sheets_at_large_radius(self, circle):
         # the outer block leaves 22 rows unsolved
-        sample = tg.extract(circle_ctx(circle, 1.2), 128, refine_check=False)
+        sample = tg.extract(circle_ctx(circle, 1.2), 128)
         assert sample.status_counts() == {"ok": 20, "vertical": 0,
                                           "multi_sheet": 86, "uncovered": 22}
         with pytest.raises(NotAGraph):
@@ -372,7 +420,7 @@ class TestExtract:
         # a reference cycle through the solve would keep the region and the
         # lattice arrays alive until the cyclic collector runs
         ctx = circle_ctx(circle, 1.2)
-        region = tg.component(ctx, refine_check=False)
+        region = tg.component(ctx)
         ref = weakref.ref(region)
         gc.disable()
         try:
@@ -385,25 +433,31 @@ class TestExtract:
     def test_vertical_sentinel_near_limit_radius(self, circle):
         # just below the half-circle limit the rim slope explodes; the norm
         # estimate grows without bound while the graph stays single-sheet
-        sample = tg.extract(circle_ctx(circle, 0.999), 256, refine_check=False)
+        sample = tg.extract(circle_ctx(circle, 0.999), 256)
         counts = sample.status_counts()
         assert counts["multi_sheet"] == 0 and counts["uncovered"] == 0
         est = tg.norms(sample)
         assert est.lip > 15.0 or math.isinf(est.lip)
 
-    def test_reconstruction_invariant(self, circle):
-        # frame of the solved parameter matches (x, u(x)) at every ok node
-        ctx = circle_ctx(circle, 0.5)
-        sample = tg.extract(ctx, 64, refine_check=False)
-        ok = sample.status == STATUS_OK
-        pts = circle.eval_chart(0, sample.param_coords[ok])
-        framed = ctx.iso.inverse_apply(pts)
-        expect = np.concatenate([sample.coords[ok], sample.heights[ok]],
-                                axis=1)
+    @pytest.mark.parametrize("name,N", [("circle", 64), ("circle", 66), ("circle", 258),
+                                        ("sphere", 34), ("sphere", 130)])
+    def test_reconstruction_invariant(self, circle, sphere, name, N):
+        # every node is solved, and the frame of its parameter matches
+        # (x, u(x)); at N = 2 mod 4 ring seeds round onto their own unsolved
+        # ring and walk toward the centre
+        if name == "circle":
+            ctx = circle_ctx(circle, 0.5)
+        else:
+            ctx = tg.FrameContext.at(sphere, sphere.point(4, [0.1, 0.2]), 0.3)
+        sample = tg.extract(ctx, N)
+        assert (sample.status == STATUS_OK).all()
+        framed = extractor._per_chart(ctx.frame_coords, sample.param_chart,
+                                      sample.param_coords)
+        expect = np.concatenate([sample.coords, sample.heights], axis=1)
         assert np.abs(framed - expect).max() <= 1e-8 * max(1.0, ctx.radius)
 
     def test_exact_derivative_matches_finite_differences(self, circle):
-        sample = tg.extract(circle_ctx(circle, 0.4), 257, refine_check=False)
+        sample = tg.extract(circle_ctx(circle, 0.4), 257)
         u = sample.heights[:, 0]
         du = sample.du[:, 0, 0]
         step = sample.coords[1, 0] - sample.coords[0, 0]
@@ -415,7 +469,7 @@ class TestExtract:
     def test_exact_derivative_matches_finite_differences_sphere(self, sphere):
         q = sphere.point(4, [0.0, 0.0])
         ctx = tg.FrameContext.at(sphere, q, 0.4)
-        sample = tg.extract(ctx, 65, refine_check=False)
+        sample = tg.extract(ctx, 65)
         # centered differences along the first axis at interior nodes
         n = sample.grid_n
         ids = {tuple(ix): i for i, ix in enumerate(sample.node_idx.tolist())}
@@ -438,13 +492,13 @@ class TestExtract:
     def test_restriction_monotonicity_on_nested_grids(self, circle):
         # halving the radius with matching node spacing keeps the smaller
         # sample's raw suprema below the larger one's
-        big = tg.extract(circle_ctx(circle, 0.8), 129, refine_check=False)
-        small = tg.extract(circle_ctx(circle, 0.4), 65, refine_check=False)
+        big = tg.extract(circle_ctx(circle, 0.8), 129)
+        small = tg.extract(circle_ctx(circle, 0.4), 65)
         assert np.abs(small.heights).max() <= np.abs(big.heights).max() + 1e-15
         assert np.nanmax(small.du_norm) <= np.nanmax(big.du_norm) + 1e-15
 
     def test_csv_round_trip(self, tmp_path, circle):
-        sample = tg.extract(circle_ctx(circle, 0.5), 32, refine_check=False)
+        sample = tg.extract(circle_ctx(circle, 0.5), 32)
         path = tmp_path / "sample.csv"
         sample.to_csv(path)
         rows = path.read_text().strip().splitlines()
@@ -466,8 +520,8 @@ class TestFrameIndependence:
             ctx_a = tg.FrameContext.at(f, q, r)
             iso_b = tg.randomize_admissible(ctx_a.iso, f.m, rng)
             ctx_b = tg.FrameContext.at(f, q, r, iso=iso_b)
-            na = tg.norms(tg.extract(ctx_a, n, refine_check=False))
-            nb = tg.norms(tg.extract(ctx_b, n, refine_check=False))
+            na = tg.norms(tg.extract(ctx_a, n))
+            nb = tg.norms(tg.extract(ctx_b, n))
             assert abs(na.c0 - nb.c0) <= 1e-6
             assert abs(na.lip - nb.lip) <= 1e-6
 
@@ -482,8 +536,8 @@ class TestFrameIndependence:
         ctx_b = tg.FrameContext.at(
             torus, q, r, iso=tg.randomize_admissible(ctx_a.iso, 2, rng)
         )
-        na = tg.norms(tg.extract(ctx_a, n, refine_check=False))
-        nb = tg.norms(tg.extract(ctx_b, n, refine_check=False))
+        na = tg.norms(tg.extract(ctx_a, n))
+        nb = tg.norms(tg.extract(ctx_b, n))
         tol = 20.0 * (r / n)
         assert abs(na.c0 - nb.c0) <= tol
         assert abs(na.lip - nb.lip) <= tol

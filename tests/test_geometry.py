@@ -15,7 +15,6 @@ from tangentgraph import (
     is_admissible,
     make_admissible_isometry,
     matrix_norm,
-    project_to_first_m,
     random_rotation,
     randomize_admissible,
     subspace_graph_matrix,
@@ -200,15 +199,6 @@ class TestAdmissibleIsometry:
 
 
 class TestProjection:
-    def test_basic(self):
-        assert np.allclose(project_to_first_m(np.array([1.0, 2.0, 3.0]), 2),
-                           [1.0, 2.0])
-        assert np.allclose(project_to_first_m(np.array([0.0, 5.0]), 1), [0.0])
-
-    def test_requires_m_below_n(self):
-        with pytest.raises(ValueError):
-            project_to_first_m(np.array([1.0, 2.0]), 2)
-
     def test_base_point_maps_to_origin(self):
         # frame-composed projection sends the base point to 0 by admissibility
         rng = np.random.default_rng(8)
@@ -218,9 +208,7 @@ class TestProjection:
             plane = Subspace.from_span(rng.standard_normal((n, m)))
             base = rng.standard_normal(n)
             iso = make_admissible_isometry(base, plane)
-            assert np.linalg.norm(
-                project_to_first_m(iso.inverse_apply(base), m)
-            ) < 1e-10
+            assert np.linalg.norm(iso.inverse_apply(base)[..., :m]) < 1e-10
 
 
 class TestSubspaceGraphMatrix:

@@ -43,7 +43,7 @@ def quadratic_graphs(draw):
 
 
 def graph_sample(ctx):
-    sample = tg.extract(ctx, GRID, refine_check=False)
+    sample = tg.extract(ctx, GRID)
     counts = sample.status_counts()
     assert counts["ok"] == len(sample.status), counts
     return sample
@@ -164,7 +164,7 @@ def test_two_chart_component_invariant_under_rigid_motion(seed):
                                iso=motion.compose(ctx.iso))
     regions, norms = [], []
     for c in (ctx, moved):
-        region = tg.component(c, refine_check=False)
+        region = tg.component(c)
         sample = extractor._extract_on_region(c, region, 17)
         assert sample.status_counts()["ok"] == len(sample.status)
         assert set(sample.param_chart.tolist()) == {0, 4}

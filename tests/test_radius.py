@@ -102,9 +102,12 @@ class TestPropertyChecks:
 class TestMaxRadius:
     def test_circle_slope_radius_closed_form(self, circle, circle_q,
                                              radius_cache):
-        for lam in (0.1, 0.5):
-            rep = cached_max_radius(radius_cache, circle, lam, tg.KIND_C1,
-                                    circle_q, N=257)
+        # at N = 258 (2 mod 4) ring seeds round onto their own unsolved ring
+        # and walk toward the centre
+        cases = ((0.1, circle_q, 257), (0.5, circle_q, 257),
+                 (0.5, circle.sample_points(per_axis=2), 258))
+        for lam, Q, N in cases:
+            rep = cached_max_radius(radius_cache, circle, lam, tg.KIND_C1, Q, N=N)
             exact = circle_r1(lam)
             assert rep.status == "bracketed"
             assert rep.r_hi / rep.r_lo - 1 <= rep.tol

@@ -33,7 +33,7 @@ def certifier_lattice(f, q, r, s):
     shifted = [base + s * e for e in np.eye(f.m, dtype=int)]
     nodes = np.unique(np.concatenate([base] + shifted), axis=0)
     ctx = tg.FrameContext(f, q, tg.FrameContext.at(f, q, r).iso, 2.2 * rho)
-    region = tg.component(ctx, refine_check=False)
+    region = tg.component(ctx)
     lo = nodes.min(axis=0)
     solution = extractor._solve_lattice(ctx, region, nodes - lo, nodes * delta,
                                         -lo, tuple(nodes.max(axis=0) - lo + 1))
@@ -145,11 +145,20 @@ class TestInclusion:
         assert tg.check_inclusion(f, f.point(0, [0.1]), 0.5, 0.1)
 
     def test_circle(self, circle):
-        assert tg.check_inclusion(circle, circle.point(0, [0.3]), 0.19, 0.1)
+        assert tg.check_inclusion(circle, circle.point(0, [0.3]), 0.09, 0.1)
 
     def test_sphere(self, sphere):
         q = sphere.point(4, [0.0, 0.0])
-        assert tg.check_inclusion(sphere, q, 0.1, 0.05)
+        assert tg.check_inclusion(sphere, q, 0.045, 0.05)
+
+    @pytest.mark.parametrize("name,q,r,lam,lip", [
+        ("circle", (0, [0.3]), 0.19, 0.1, "lip 0.193525 > 0.1"),
+        ("sphere", (4, [0.0, 0.0]), 0.1, 0.05, "lip 0.100209 > 0.05"),
+    ])
+    def test_slope_property_required_at_q(self, circle, sphere, name, q, r, lam, lip):
+        f = {"circle": circle, "sphere": sphere}[name]
+        with pytest.raises(PreconditionViolated, match=lip):
+            tg.check_inclusion(f, f.point(*q), r, lam)
 
     def test_slope_cap_enforced(self, circle):
         with pytest.raises(PreconditionViolated):
@@ -166,14 +175,17 @@ class TestDuCertifier:
                    cert.per_node)
 
     def test_circle_micro_scale(self, circle):
-        cert = tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5,
-                                   1e-5)
-        assert cert.global_bound == 8.0 ** -3  # slope ratio is exactly one
-        assert cert.rho == pytest.approx(1.9e-5 / 5, rel=1e-8)
-        for _, certified, actual in cert.per_node:
-            assert actual <= certified + 1e-15
-            assert certified <= cert.global_bound + 1e-15
-        assert cert.max_actual() <= 4e-6
+        # at 3 nodes per rho the outer seeds walk toward the centre
+        for s in (4, 3):
+            cert = tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5,
+                                       1e-5, nodes_per_rho=s)
+            assert cert.global_bound == 8.0 ** -3  # slope ratio is exactly one
+            assert cert.rho == pytest.approx(1.9e-5 / 5, rel=1e-8)
+            assert len(cert.per_node) == 2 * s - 1
+            for _, certified, actual in cert.per_node:
+                assert actual <= certified + 1e-15
+                assert certified <= cert.global_bound + 1e-15
+            assert cert.max_actual() <= 4e-6
 
     def test_sphere_micro_scale(self, sphere):
         cert = tg.certify_du_bound(sphere, sphere.point(4, [0.0, 0.0]), 4e-6,
@@ -189,10 +201,10 @@ class TestDuCertifier:
             tg.certify_du_bound(circle, circle.point(0, [0.0]), 0.1, 0.5)
 
     def test_rejects_one_node_per_rho_before_the_witness(self, circle, monkeypatch):
-        def require_c0(*args, **kwargs):
+        def require(*args, **kwargs):
             raise AssertionError("nodes_per_rho must be checked first")
 
-        monkeypatch.setattr(theorems, "_require_c0", require_c0)
+        monkeypatch.setattr(theorems, "_require", require)
         with pytest.raises(ValueError, match="at least 2 nodes per rho"):
             tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5, 1e-5,
                                 nodes_per_rho=1)
