@@ -27,7 +27,7 @@ from .errors import (
     NotAGraph,
 )
 from .geometry import (Isometry, _orthonormalize_batch, _singular_extremes, graph_slopes,
-                       is_admissible, make_admissible_isometry)
+                       is_admissible, left_product, make_admissible_isometry, row_norm)
 from .zoo import ParamImmersion, ParamPoint, tangent_space
 
 STATUS_OK = 0
@@ -91,8 +91,12 @@ def _window_pos(cells, lo, shape, counts, periodic):
     """Positions of cell index rows in the window at lo of the given shape,
     periodic axes taken mod counts, and which rows fall inside it."""
     pos = cells - lo
-    pos = np.where(periodic, np.mod(pos, counts), pos)
-    return pos, ((pos >= 0) & (pos < shape)).all(axis=1)
+    ok = np.ones(len(pos), dtype=bool)
+    for d, col in enumerate(pos.T):
+        if periodic[d]:
+            col %= counts[d]
+        ok &= (col >= 0) & (col < shape[d])
+    return pos, ok
 
 
 def _label(mask: np.ndarray, seam) -> np.ndarray:
@@ -151,12 +155,17 @@ class ComponentRegion:
         return out
 
 
+def _chart_rows(charts):
+    """(chart, row indices) for each chart present, charts ascending."""
+    return [(int(c), np.flatnonzero(charts == c))
+            for c in np.flatnonzero(np.bincount(charts))]
+
+
 def _per_chart(fn, charts, coords) -> np.ndarray:
     """fn(chart, coords) on the rows of each chart, scattered back in row order."""
     out = None
-    for c in np.unique(charts):
-        rows = charts == c
-        val = fn(int(c), coords[rows])
+    for c, rows in _chart_rows(charts):
+        val = fn(c, coords[rows])
         if out is None:
             out = np.empty((len(charts),) + val.shape[1:], dtype=val.dtype)
         out[rows] = val
@@ -175,7 +184,10 @@ def _solve_linear(mats: np.ndarray, rhs: np.ndarray):
         det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
     else:
         det = np.linalg.det(mats)
-    singular = np.abs(det) <= 1e-14 * np.abs(mats).max(axis=(-1, -2)) ** m
+    scale = np.abs(mats[..., 0, 0])
+    for i, j in np.ndindex(m, m):
+        scale = np.maximum(scale, np.abs(mats[..., i, j]))
+    singular = np.abs(det) <= 1e-14 * scale ** m
     if m > 2:
         regular = np.where(singular[..., None, None], np.eye(m), mats)
         step = np.linalg.solve(regular, rhs[..., None])[..., 0]
@@ -272,7 +284,7 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
             test[at] = True  # seeds skip the valid-set test
             y = ctx.frame_coords(ci, center[test])
             ball = np.zeros(len(idx), dtype=bool)
-            ball[test] = np.linalg.norm(y[:, :m], axis=1) < r
+            ball[test] = row_norm(y[:, :m]) < r
             seam = periodic & (shape == counts)
             labels = _label(ball.reshape(shape), seam).ravel()
             keep = ball & np.isin(labels, labels[at[ball[at]]])
@@ -404,13 +416,13 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     for _ in range(NEWTON_MAX_ITER):
         act_idx = np.nonzero(active)[0]
         # grouped before any row steps, so a relocated row waits a turn
-        groups = [(int(c), act_idx[chart[act_idx] == c]) for c in np.unique(chart[act_idx])]
+        groups = [(c, act_idx[rows]) for c, rows in _chart_rows(chart[act_idx])]
         for c, rows in groups:
             stale = rows[~fresh[rows]]
             if len(stale):
                 y[stale] = ctx.frame_coords(c, coords[stale])
             g = y[rows, :m] - targets[rows]
-            res = np.linalg.norm(g, axis=1)
+            res = row_norm(g)
             conv = res <= tol
             status[rows[conv]] = _SOLVE_OK
             heights[rows[conv]] = y[rows[conv], m:]
@@ -422,7 +434,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             # Newton step in the frame projection.
             cur, tgt = coords[rows], targets[rows]
             jac = f.jacobian_chart(c, cur)
-            step, singular = _solve_linear(np.einsum("ij,bjl->bil", proj, jac), g)
+            step, singular = _solve_linear(left_product(proj, jac), g)
             if singular.any():
                 status[rows[singular]] = _SOLVE_NO_CONV
                 active[rows[singular]] = False
@@ -435,14 +447,14 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             ch = f.charts[c]
             best = _constrain(ch, cur, cur - step)
             best_y = ctx.frame_coords(c, best)
-            best_res = np.linalg.norm(best_y[:, :m] - tgt, axis=1)
+            best_res = row_norm(best_y[:, :m] - tgt)
             retry = np.nonzero(~(best_res <= res * (1 - 1e-4)))[0]
             for scale in (0.5, 0.25):
                 if not len(retry):
                     break
                 cand = _constrain(ch, cur[retry], cur[retry] - scale * step[retry])
                 yc = ctx.frame_coords(c, cand)
-                res_new = np.linalg.norm(yc[:, :m] - tgt[retry], axis=1)
+                res_new = row_norm(yc[:, :m] - tgt[retry])
                 better = res_new < best_res[retry]
                 best[retry[better]] = cand[better]
                 best_y[retry[better]] = yc[better]
@@ -453,7 +465,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             fresh[rows] = True
 
             # Pinned at a domain boundary: try to continue in another chart.
-            pinned = np.linalg.norm(best - cur, axis=1) < 1e-12 * np.linalg.norm(step, axis=1)
+            pinned = row_norm(best - cur) < 1e-12 * row_norm(step)
             if pinned.any() and f.locate is not None:
                 for row in rows[pinned]:
                     target = f.locate(f.eval_chart(c, coords[row]), exclude=c)
@@ -662,7 +674,7 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
         [g.ravel() for g in np.meshgrid(*([np.arange(N)] * m), indexing="ij")],
         axis=-1,
     )
-    keep = np.linalg.norm(coords_all, axis=1) < r * (1 - 1e-9)
+    keep = row_norm(coords_all) < r * (1 - 1e-9)
     coords = coords_all[keep]
     node_idx = idx_all[keep]
     P = len(coords)
@@ -680,11 +692,10 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     if len(ok_rows):
         jac = _per_chart(f.jacobian_chart, p_chart[ok_rows], p_coords[ok_rows])
         basis = _orthonormalize_batch(jac)
-        slope, vertical = graph_slopes(
-            np.einsum("ij,bjl->bil", ctx.iso.rotation.T, basis))
+        slope, vertical = graph_slopes(left_product(ctx.iso.rotation.T, basis))
         status[ok_rows[vertical]] = STATUS_VERTICAL
         du[ok_rows] = slope
-        du_norm[ok_rows] = np.sqrt((slope * slope).sum(axis=(1, 2)))
+        du_norm[ok_rows] = row_norm(slope.reshape(len(slope), -1))
 
     _mark_multi_sheet(region, status, node_map, a, N, m)
 

@@ -6,7 +6,6 @@ after construction, so values may be shared freely between callers.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,49 @@ def matrix_norm(a) -> float:
     return float(np.sqrt((a * a).sum()))
 
 
-@functools.cache
-def _minor_pairs(n: int):
-    """Row index pairs (i < j) of the 2 x 2 minors of an n x 2 matrix."""
-    return np.triu_indices(n, 1)
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, added left to right: the bits of
+    ``np.sum(a * b, axis=-1)`` for rows shorter than eight."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: the bits of
+    ``np.linalg.norm(a, axis=-1)`` for rows shorter than eight."""
+    return np.sqrt(row_dot(a, a))
+
+
+def left_product(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``a @ mat`` for every stacked matrix, entry by entry: (p, n) and
+    (..., n, q) give (..., p, q), each entry added left to right (the bits
+    of ``np.einsum("ij,bjl->bil")`` for q >= 2)."""
+    out = np.empty(mats.shape[:-2] + (a.shape[0], mats.shape[-1]))
+    for i, row in enumerate(a):
+        for col in range(mats.shape[-1]):
+            out[..., i, col] = row_dot(row, mats[..., col])
+    return out
+
+
+def inverse_batch(mats: np.ndarray) -> np.ndarray:
+    """Inverse of every stacked m x m matrix: the adjugate over the
+    determinant for m <= 2, LAPACK above."""
+    m = mats.shape[-1]
+    if m == 1:
+        return 1.0 / mats
+    if m > 2:
+        return np.linalg.inv(mats)
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    inv_det = 1.0 / (a * d - b * c)
+    out = np.empty_like(mats)
+    out[..., 0, 0] = d * inv_det
+    out[..., 0, 1] = -b * inv_det
+    out[..., 1, 0] = -c * inv_det
+    out[..., 1, 1] = a * inv_det
+    return out
 
 
 def _singular_extremes(mat: np.ndarray):
@@ -39,21 +77,21 @@ def _singular_extremes(mat: np.ndarray):
     of squares of the 2 x 2 minors (|det| when square): accurate to rounding
     relative to sigma_max even for a singular matrix, which the Gram
     discriminant is not."""
-    m = mat.shape[-1]
+    n, m = mat.shape[-2:]
     if m == 1:
-        s = np.linalg.norm(mat[..., 0], axis=-1)
+        s = row_norm(mat[..., 0])
         return s, s
     if m == 2:
         a, b = mat[..., 0], mat[..., 1]
-        g00, g11, g01 = (np.einsum("...i,...i->...", u, v)
-                         for u, v in ((a, a), (b, b), (a, b)))
+        g00, g11, g01 = row_dot(a, a), row_dot(b, b), row_dot(a, b)
         disc = np.sqrt(0.25 * (g00 - g11) ** 2 + g01 ** 2)
         smax = np.sqrt(0.5 * (g00 + g11) + disc)
-        i, j = _minor_pairs(mat.shape[-2])
-        ri, rj = mat[..., i, :], mat[..., j, :]
-        minors = ri[..., 0] * rj[..., 1] - ri[..., 1] * rj[..., 0]
-        prod = np.sqrt((minors * minors).sum(axis=-1))
-        return smax, prod / np.maximum(smax, 1e-300)
+        prod = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                minor = mat[..., i, 0] * mat[..., j, 1] - mat[..., i, 1] * mat[..., j, 0]
+                prod = prod + minor * minor
+        return smax, np.sqrt(prod) / np.maximum(smax, 1e-300)
     svals = np.linalg.svd(mat, compute_uv=False)
     return svals[..., 0], svals[..., -1]
 
@@ -63,13 +101,13 @@ def _orthonormalize_batch(jac: np.ndarray) -> np.ndarray:
     column j having a positive inner product with the j-th input column."""
     m = jac.shape[-1]
     if m == 1:
-        return jac / np.linalg.norm(jac, axis=-2, keepdims=True)
+        return jac / row_norm(jac[..., 0])[..., None, None]
     if m == 2:
         a, b = jac[..., 0], jac[..., 1]
-        q1 = a / np.linalg.norm(a, axis=-1, keepdims=True)
-        w = b - np.sum(q1 * b, axis=-1, keepdims=True) * q1
-        w = w - np.sum(q1 * w, axis=-1, keepdims=True) * q1
-        q2 = w / np.linalg.norm(w, axis=-1, keepdims=True)
+        q1 = a / row_norm(a)[..., None]
+        w = b - row_dot(q1, b)[..., None] * q1
+        w = w - row_dot(q1, w)[..., None] * q1
+        q2 = w / row_norm(w)[..., None]
         return np.stack([q1, q2], axis=-1)
     q, r = np.linalg.qr(jac)
     sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -88,7 +126,10 @@ def graph_slopes(bases: np.ndarray):
     top = bases[:, :m, :]
     vertical = _singular_extremes(top)[1] <= GRAPH_RANK_TOL
     top = np.where(vertical[:, None, None], np.eye(m), top)  # keeps inv defined
-    slope = np.einsum("bkj,bjl->bkl", bases[:, m:, :], np.linalg.inv(top))
+    inv, bottom = inverse_batch(top), bases[:, m:, :]
+    slope = bottom[:, :, :1] * inv[:, None, 0, :]
+    for j in range(1, m):
+        slope += bottom[:, :, j:j + 1] * inv[:, None, j, :]
     slope[vertical] = np.nan
     return slope, vertical
 

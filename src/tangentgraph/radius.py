@@ -28,9 +28,14 @@ KIND_C1 = "c1"
 RADIUS_CAP = 1e3
 
 
-def default_grid(m: int) -> int:
-    """Extraction resolution used by property checks unless overridden."""
-    return 256 if m == 1 else 64
+def _grid(N, m: int) -> int:
+    """Extraction resolution of the property checks: N, or by default 256
+    for curves and 64 otherwise."""
+    if N is None:
+        return 256 if m == 1 else 64
+    if N < 8:
+        raise ValueError("grid resolution must be at least 8")
+    return N
 
 
 @dataclass
@@ -100,7 +105,7 @@ def _check_property(f, r, lam, Q, kind, N=None) -> PropertyVerdict:
     Q = list(Q)
     if not Q:
         raise ValueError("the sample of base points is empty")
-    N = N or default_grid(f.m)
+    N = _grid(N, f.m)
     witnesses = []
     for q in Q:
         w = _witness_at(FrameContext.at(f, q, r), lam, kind, N)
@@ -225,7 +230,7 @@ def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
         raise ValueError("bisection tolerance must be in (0, 0.1]")
     if kind not in (KIND_C0, KIND_C1):
         raise ValueError(f"unknown property kind {kind!r}")
-    N = N or default_grid(f.m)
+    N = _grid(N, f.m)
     Q = list(Q)
     spec = _sample_spec(f, Q)
     order = list(range(len(Q)))  # checking order; the last failure first

@@ -29,13 +29,13 @@ from .extractor import (  # noqa: F401
     norms,
 )
 from .geometry import (Subspace, _orthonormalize_batch, _singular_extremes,
-                       graph_matrix_from_probes)
+                       graph_matrix_from_probes, left_product)
 from .radius import (
     KIND_C0,
     KIND_C1,
     RadiusReport,
+    _grid,
     _witness_at,
-    default_grid,
     is_r_lambda,
     max_radius,
 )
@@ -129,7 +129,7 @@ def check_enlargement(f: ParamImmersion, r: float, lam: float, Q,
 
 def _require(ctx: FrameContext, lam: float, kind: str, N: int = None) -> None:
     """Refuse unless the property of the given kind holds at the base point."""
-    w = _witness_at(ctx, lam, kind, N or default_grid(ctx.immersion.m))
+    w = _witness_at(ctx, lam, kind, _grid(N, ctx.immersion.m))
     if w.status == "inconclusive":
         raise Inconclusive(w.detail)
     if w.status == "fail":
@@ -301,7 +301,7 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     if len(low):
         raise RankDeficient(
             f"Jacobian nearly rank-deficient under node {base_idx[low[0]] * delta}")
-    framed = np.einsum("ij,bjl->bil", ctx.iso.rotation.T, _orthonormalize_batch(jac))
+    framed = left_product(ctx.iso.rotation.T, _orthonormalize_batch(jac))
     # Orthogonal projections of the shifted images onto each plane.
     shift = frame[probe_rows] - frame[base_rows][:, None, :]
     coef = np.einsum("bnl,bjn->bjl", framed, shift)

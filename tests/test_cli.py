@@ -124,6 +124,24 @@ class TestSampleCount:
         assert "--samples must be at least 1" in err
 
 
+class TestGridResolution:
+    @pytest.mark.parametrize("command", [
+        ["extract", "--immersion", "circle", "--r", "0.5"],
+        ["radii", "--immersion", "circle", "--kind", "c1", "--lambda", "0.5",
+         "--samples", "1"],
+        ["verify", "theorem", "--immersion", "circle", "--lambda", "1e-5",
+         "--samples", "1"],
+        ["verify", "du-cert", "--immersion", "circle", "--lambda", "1e-5",
+         "--r", "1.9e-5", "--q", "0.3"],
+    ])
+    @pytest.mark.parametrize("grid", ["0", "4", "-5"])
+    def test_small_grid_is_invalid(self, capsys, command, grid):
+        code, out, err = run(command + [f"--grid={grid}"], capsys)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "grid resolution must be at least 8" in err
+
+
 class TestVerifyCommand:
     def test_theorem_circle(self, tmp_path, capsys):
         out_file = tmp_path / "verdict.json"

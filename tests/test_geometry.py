@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +20,15 @@ from tangentgraph import (
     randomize_admissible,
     subspace_graph_matrix,
 )
+from tangentgraph.extractor import _solve_linear
 from tangentgraph.geometry import (
     GRAPH_RANK_TOL,
     _orthonormalize_batch,
     _singular_extremes,
     graph_slopes,
+    inverse_batch,
+    left_product,
+    row_norm,
 )
 
 
@@ -294,11 +299,14 @@ def _random_probe_case(rng):
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, shape=None):
     """A random n x m matrix U diag(s) V^T with a chosen smallest singular
     value: exactly zero, 1e-10 or 1e-8 of the largest, or random."""
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(m, 5))
+    if shape is None:
+        m = draw(st.integers(1, 3))
+        n = draw(st.integers(m, 5))
+    else:
+        n, m = shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     smax = draw(st.floats(0.1, 10.0))
     ratio = draw(st.sampled_from([0.0, 1e-10, 1e-8, None]))
@@ -309,6 +317,121 @@ def small_matrices(draw):
     u = random_rotation(n, rng)[:, :m]
     v = random_rotation(m, rng) if m > 1 else np.eye(1)
     return (u * svals) @ v.T
+
+
+@st.composite
+def small_stacks(draw, square=False):
+    """A stack of 1-8 small_matrices() of one n x m shape; some have their
+    last column zeroed or set to their first, so they are exactly singular."""
+    m = draw(st.integers(1, 3))
+    n = m if square else draw(st.integers(m, 5))
+    mats = []
+    for _ in range(draw(st.integers(1, 8))):
+        mat = draw(small_matrices(shape=(n, m)))
+        exact = draw(st.sampled_from([None, "zero", "repeat"]))
+        if exact == "zero":
+            mat[:, -1] = 0.0
+        elif exact == "repeat":
+            mat[:, -1] = mat[:, 0]
+        mats.append(mat)
+    return np.stack(mats)
+
+
+def einsum_singular_extremes(mat):
+    """The m <= 2 closed forms as written with einsum and trailing-axis
+    reductions: the reference the entry-wise kernels must match bit for bit."""
+    if mat.shape[-1] == 1:
+        s = np.linalg.norm(mat[..., 0], axis=-1)
+        return s, s
+    a, b = mat[..., 0], mat[..., 1]
+    g00, g11, g01 = (np.einsum("...i,...i->...", u, v) for u, v in ((a, a), (b, b), (a, b)))
+    disc = np.sqrt(0.25 * (g00 - g11) ** 2 + g01 ** 2)
+    smax = np.sqrt(0.5 * (g00 + g11) + disc)
+    i, j = np.triu_indices(mat.shape[-2], 1)
+    ri, rj = mat[..., i, :], mat[..., j, :]
+    minors = ri[..., 0] * rj[..., 1] - ri[..., 1] * rj[..., 0]
+    return smax, np.sqrt((minors * minors).sum(axis=-1)) / np.maximum(smax, 1e-300)
+
+
+def sum_orthonormalize(jac):
+    """The m <= 2 Gram-Schmidt written with np.linalg.norm and np.sum."""
+    if jac.shape[-1] == 1:
+        return jac / np.linalg.norm(jac, axis=-2, keepdims=True)
+    a, b = jac[..., 0], jac[..., 1]
+    q1 = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    w = b - np.sum(q1 * b, axis=-1, keepdims=True) * q1
+    w = w - np.sum(q1 * w, axis=-1, keepdims=True) * q1
+    return np.stack([q1, w / np.linalg.norm(w, axis=-1, keepdims=True)], axis=-1)
+
+
+class TestEntrywiseKernels:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(small_stacks())
+    def test_row_norm_matches_linalg_norm(self, mats):
+        for rows in (mats, mats.swapaxes(-1, -2), mats[..., 0]):
+            assert np.array_equal(row_norm(rows), np.linalg.norm(rows, axis=-1))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(small_stacks(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_left_product_matches_einsum(self, mats, p, seed):
+        a = np.random.default_rng(seed).standard_normal((p, mats.shape[1]))
+        got, ref = left_product(a, mats), np.einsum("ij,bjl->bil", a, mats)
+        if mats.shape[-1] >= 2 or mats.shape[1] <= 2:
+            assert np.array_equal(got, ref)
+        else:
+            # one column: einsum adds even and odd terms apart, not in order
+            bound = 4e-16 * np.einsum("ij,bjl->bil", np.abs(a), np.abs(mats))
+            assert (np.abs(got - ref) <= bound).all()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(small_stacks())
+    def test_closed_forms_keep_their_bits(self, mats):
+        if mats.shape[-1] > 2:
+            return
+        for got, ref in zip(_singular_extremes(mats), einsum_singular_extremes(mats)):
+            assert np.array_equal(got, ref)
+        full_rank = _singular_extremes(mats)[1] > 1e-12
+        assert np.array_equal(_orthonormalize_batch(mats[full_rank]),
+                              sum_orthonormalize(mats[full_rank]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(small_stacks(square=True))
+    def test_singular_flag_matches_max_rule(self, mats):
+        m = mats.shape[-1]
+        _, singular = _solve_linear(mats, np.ones(mats.shape[:-1]))
+        det = mats[:, 0, 0] if m == 1 else np.linalg.det(mats)
+        if m == 2:
+            det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        expected = np.abs(det) <= 1e-14 * np.abs(mats).max(axis=(-1, -2)) ** m
+        assert np.array_equal(singular, expected)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(small_stacks(square=True))
+    def test_inverse_matches_lapack(self, mats):
+        # numerically singular matrices have no inverse to agree on
+        mats = mats[np.linalg.cond(mats) < 1e12]
+        if not len(mats):
+            return
+        ref = np.linalg.inv(mats)
+        # both are backward stable: they agree to rounding times the condition
+        cond = np.linalg.cond(mats)
+        err = np.abs(inverse_batch(mats) - ref).max(axis=(-1, -2))
+        assert (err <= 1e-14 * cond * np.abs(ref).max(axis=(-1, -2))).all()
+
+    @pytest.mark.parametrize("top", [
+        [[0.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[0.3, 0.3], [-0.7, -0.7]],
+    ])
+    def test_exactly_singular_top_is_vertical(self, top):
+        top = np.array(top)
+        basis = np.concatenate([top, np.ones((1, len(top)))])[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            slope, vertical = graph_slopes(basis)
+        assert vertical.tolist() == [True]
+        assert np.isnan(slope).all()
 
 
 class TestSmallMatrixHelpers:

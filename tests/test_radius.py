@@ -240,6 +240,14 @@ class TestMaxRadius:
         with pytest.raises(ValueError):
             tg.max_radius(circle, 0.5, "c2", circle_q)
 
+    @pytest.mark.parametrize("N", [0, 4, -5])
+    def test_grid_resolution_validation(self, circle, circle_q, N):
+        for check in (tg.is_r_lambda, tg.is_c0_r_lambda):
+            with pytest.raises(ValueError, match="grid resolution must be at least 8"):
+                check(circle, 0.1, 0.5, circle_q, N=N)
+        with pytest.raises(ValueError, match="grid resolution must be at least 8"):
+            tg.max_radius(circle, 0.5, tg.KIND_C1, circle_q, N=N)
+
 
 class TestOrderingAndInvariance:
     def test_ordering_circle(self, circle, circle_q, radius_cache):

@@ -138,6 +138,16 @@ class TestDistanceBound:
             tg.check_distance_bound(circle, circle.point(0, [0.0]), 0.3, 0.2,
                                     0.1)
 
+    @pytest.mark.parametrize("N", [0, 4, -5])
+    def test_grid_resolution_validation(self, circle, N):
+        q = circle.point(0, [0.3])
+        with pytest.raises(ValueError, match="grid resolution must be at least 8"):
+            tg.check_distance_bound(circle, q, 0.19, 0.19, 0.1, N=N)
+        with pytest.raises(ValueError, match="grid resolution must be at least 8"):
+            tg.certify_du_bound(circle, q, 1.9e-5, 1e-5, N=N)
+        with pytest.raises(ValueError, match="grid resolution must be at least 8"):
+            tg.verify_main_theorem(circle, 1e-5, [q], N=N)
+
 
 class TestInclusion:
     def test_flat_triangle_inequality(self):
