@@ -15,6 +15,7 @@ so a membership test is one array lookup.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,19 +85,37 @@ class _CellBlock:
 
 def _cell_index(chart, size, coords) -> np.ndarray:
     """Integer cell of each row of parameter coords, periodic axes unwrapped."""
-    return np.floor((np.atleast_2d(coords) - chart.lo) / size).astype(np.int64)
+    coords = np.atleast_2d(coords)
+    shifted = [(coords[:, d] - lo) / size[d] for d, lo in enumerate(chart.lo)]
+    return np.floor(np.stack(shifted, axis=-1)).astype(np.int64)
 
 
 def _window_pos(cells, lo, shape, counts, periodic):
     """Positions of cell index rows in the window at lo of the given shape,
     periodic axes taken mod counts, and which rows fall inside it."""
-    pos = cells - lo
+    pos = np.stack([cells[:, d] - first for d, first in enumerate(lo)], axis=-1)
     ok = np.ones(len(pos), dtype=bool)
     for d, col in enumerate(pos.T):
         if periodic[d]:
             col %= counts[d]
         ok &= (col >= 0) & (col < shape[d])
     return pos, ok
+
+
+def _flat_index(pos, shape) -> np.ndarray:
+    """Row-major flat index of each row of in-range positions in shape."""
+    flat = pos[:, 0]
+    for d in range(1, pos.shape[1]):
+        flat = flat * shape[d] + pos[:, d]
+    return flat
+
+
+def _grid_rows(axes) -> np.ndarray:
+    """Rows of the grid spanned by per-axis values, in row-major order."""
+    out = np.empty(tuple(map(len, axes)) + (len(axes),), dtype=np.result_type(*axes))
+    for d, vals in enumerate(axes):
+        out[..., d] = vals.reshape((-1,) + (1,) * (len(axes) - 1 - d))
+    return out.reshape(-1, len(axes))
 
 
 def _label(mask: np.ndarray, seam) -> np.ndarray:
@@ -135,6 +154,8 @@ class ComponentRegion:
     charts: list = field(repr=False)
     # chart -> (lo, halo): the window's first cell, unwrapped, and region mask grown by a cell
     windows: dict = field(repr=False)
+    # (a, N) -> _sheet_gap_keys, shared by a witness's cell scan and its extraction
+    sheet_keys: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def total_cells(self) -> int:
@@ -144,28 +165,31 @@ class ComponentRegion:
         """Cell membership with a one-cell halo: a row is inside when its
         cell or one of the 3^m - 1 cells around it belongs to the region."""
         coords = np.atleast_2d(coords)
-        out = np.zeros(len(coords), dtype=bool)
         if chart not in self.windows:
-            return out
+            return np.zeros(len(coords), dtype=bool)
         lo, halo = self.windows[chart]
         ch = self.charts[chart]
         pos, ok = _window_pos(_cell_index(ch, self.cell_sizes[chart], coords), lo,
                               halo.shape, self.cell_counts[chart], ch.periodic)
-        out[ok] = halo[tuple(pos[ok].T)]
-        return out
+        # a row outside the window reads a clipped cell, then False
+        return halo.take(_flat_index(pos, halo.shape), mode="clip") & ok
 
 
-def _chart_rows(charts):
-    """(chart, row indices) for each chart present, charts ascending."""
-    return [(int(c), np.flatnonzero(charts == c))
-            for c in np.flatnonzero(np.bincount(charts))]
+def _chart_slices(charts):
+    """(chart, slice of its rows) for each chart of a chart-sorted array."""
+    cuts = [0, *(np.flatnonzero(charts[1:] != charts[:-1]) + 1).tolist(), len(charts)]
+    return [(int(charts[a]), slice(a, b)) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _per_chart(fn, charts, coords) -> np.ndarray:
-    """fn(chart, coords) on the rows of each chart, scattered back in row order."""
+    """fn(chart, coords) on each chart's rows, in row order; one chart's batch whole."""
+    present = np.flatnonzero(np.bincount(charts))
+    if len(present) == 1:
+        return fn(int(present[0]), coords)
     out = None
-    for c, rows in _chart_rows(charts):
-        val = fn(c, coords[rows])
+    for c in present:
+        rows = np.flatnonzero(charts == c)
+        val = fn(int(c), coords.take(rows, axis=0))
         if out is None:
             out = np.empty((len(charts),) + val.shape[1:], dtype=val.dtype)
         out[rows] = val
@@ -272,17 +296,18 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
             if np.prod(shape) > CELL_BUDGET:
                 raise GeometryError(f"component window exceeded the cell budget "
                                     f"({CELL_BUDGET}); refine the radius or the grid step")
-            at = np.ravel_multi_index(
-                tuple(_window_pos(cells, lo, shape, counts, periodic)[0].T), shape)
-            idx = lo + np.indices(shape).reshape(m, -1).T
-            idx = np.where(periodic, np.mod(idx, counts), idx)
-            valid = ((idx >= 0) & (idx < counts)).all(axis=1)
-            center = ch.lo + (idx + 0.5) * size
+            at = _flat_index(_window_pos(cells, lo, shape, counts, periodic)[0], shape)
+            cols = [lo[d] + np.arange(shape[d]) for d in range(m)]
+            cols = [col % counts[d] if periodic[d] else col for d, col in enumerate(cols)]
+            idx = _grid_rows(cols)
+            center = _grid_rows([ch.lo[d] + (col + 0.5) * size[d] for d, col in enumerate(cols)])
+            inner = [(col >= 0) & (col < counts[d]) for d, col in enumerate(cols)]
+            valid = functools.reduce(np.logical_and.outer, inner).ravel()
             if ch.inside is not None:
-                valid[valid] = ch.inside(center[valid])
+                valid[valid] = ch.inside(center.compress(valid, axis=0))
             test = valid.copy()
             test[at] = True  # seeds skip the valid-set test
-            y = ctx.frame_coords(ci, center[test])
+            y = ctx.frame_coords(ci, center.compress(test, axis=0))
             ball = np.zeros(len(idx), dtype=bool)
             ball[test] = row_norm(y[:, :m]) < r
             seam = periodic & (shape == counts)
@@ -306,10 +331,11 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
         rest = keep.copy()
         rest[lead] = False
         pick = np.concatenate([lead, np.flatnonzero(rest)])
-        y = y[(np.cumsum(test) - 1)[pick]]
-        sig, _ = _singular_extremes(f.jacobian_chart(ci, center[pick]))
-        block = _CellBlock(idx[pick], center[pick], y[:, :m], y[:, m:], sig)
-        return lo, window, center[keep & near.ravel()], block
+        y = y.take((np.cumsum(test) - 1).take(pick), axis=0)
+        center_kept = center.take(pick, axis=0)
+        sig, _ = _singular_extremes(f.jacobian_chart(ci, center_kept))
+        block = _CellBlock(idx.take(pick, axis=0), center_kept, y[:, :m], y[:, m:], sig)
+        return lo, window, center.compress(keep & near.ravel(), axis=0), block
 
     base = ctx.base_point
     seeds = {base.chart: {seed_cell(base.chart, base.coords): base.coords}}
@@ -402,91 +428,111 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     tol = 1e-10 * max(1.0, ctx.radius)
     proj = ctx.iso.rotation.T[:m]
 
-    chart = np.asarray(seed_charts, dtype=np.int64).copy()
-    coords = np.atleast_2d(np.asarray(seed_coords, dtype=float)).copy()
-    status = np.full(B, -1, dtype=np.int8)  # -1 active
-    heights = np.zeros((B, k))
-    strikes = np.zeros(B, dtype=np.int8)
-
-    # frame coords of each row's iterate; fresh where the line search
-    # already evaluated them at the accepted candidate
-    y = np.empty((B, f.n))
-    fresh = np.zeros(B, dtype=bool)
-    active = status == -1
+    out = (np.full(B, _SOLVE_NO_CONV, dtype=np.int8),
+           np.asarray(seed_charts, dtype=np.int64).copy(),
+           np.atleast_2d(np.asarray(seed_coords, dtype=float)).copy(),
+           np.zeros((B, k)))
+    # Live rows, sorted by chart so that each chart's rows are one slice:
+    # row id, target, chart, iterate, its frame coords (fresh where the line
+    # search already evaluated them at the accepted candidate), strikes.
+    order = np.argsort(out[1], kind="stable")
+    live = [order, targets.take(order, axis=0), out[1].take(order),
+            out[2].take(order, axis=0), np.empty((B, f.n)), np.zeros(B, dtype=bool),
+            np.zeros(B, dtype=np.int8)]
     for _ in range(NEWTON_MAX_ITER):
-        act_idx = np.nonzero(active)[0]
-        # grouped before any row steps, so a relocated row waits a turn
-        groups = [(c, act_idx[rows]) for c, rows in _chart_rows(chart[act_idx])]
-        for c, rows in groups:
-            stale = rows[~fresh[rows]]
-            if len(stale):
-                y[stale] = ctx.frame_coords(c, coords[stale])
-            g = y[rows, :m] - targets[rows]
-            res = row_norm(g)
-            conv = res <= tol
-            status[rows[conv]] = _SOLVE_OK
-            heights[rows[conv]] = y[rows[conv], m:]
-            active[rows[conv]] = False
-            rows, g, res = rows[~conv], g[~conv], res[~conv]
-            if not len(rows):
-                continue
+        ids, tgt, chart, cur, y, fresh, strikes = live
+        for c, sl in _chart_slices(chart):
+            stale = sl.start + np.flatnonzero(~fresh[sl])
+            if len(stale) == sl.stop - sl.start:
+                y[sl] = ctx.frame_coords(c, cur[sl])
+            elif len(stale):
+                y[stale] = ctx.frame_coords(c, cur.take(stale, axis=0))
+        g = y[:, :m] - tgt
+        res = row_norm(g)
+        conv = res <= tol
+        if conv.any():
+            g, res = g.compress(~conv, axis=0), res.compress(~conv)
+            live = ids, tgt, chart, cur, y, fresh, strikes = _leave(live, conv, _SOLVE_OK, out)
 
-            # Newton step in the frame projection.
-            cur, tgt = coords[rows], targets[rows]
-            jac = f.jacobian_chart(c, cur)
-            step, singular = _solve_linear(left_product(proj, jac), g)
+        # Newton step in the frame projection, one chart's slice at a time;
+        # a row relocated into another chart waits a turn.
+        singular_rows, moved = np.zeros(len(ids), dtype=bool), False
+        for c, sl in _chart_slices(chart):
+            at, cur_c, tgt_c, res_c = sl, cur[sl], tgt[sl], res[sl]
+            jac = f.jacobian_chart(c, cur_c)
+            step, singular = _solve_linear(left_product(proj, jac), g[sl])
             if singular.any():
-                status[rows[singular]] = _SOLVE_NO_CONV
-                active[rows[singular]] = False
-                rows, cur, tgt, res, step = (a[~singular] for a in (rows, cur, tgt, res, step))
-                if not len(rows):
+                singular_rows[sl] = singular
+                at = sl.start + np.flatnonzero(~singular)
+                if not len(at):
                     continue
+                cur_c, tgt_c, res_c, step = (a.compress(~singular, axis=0)
+                                             for a in (cur_c, tgt_c, res_c, step))
 
             # Backtracking: rows whose residual did not drop retry at half and
             # then a quarter of the step, keeping their best candidate.
             ch = f.charts[c]
-            best = _constrain(ch, cur, cur - step)
+            best = _constrain(ch, cur_c, cur_c - step)
             best_y = ctx.frame_coords(c, best)
-            best_res = row_norm(best_y[:, :m] - tgt)
-            retry = np.nonzero(~(best_res <= res * (1 - 1e-4)))[0]
+            best_res = row_norm(best_y[:, :m] - tgt_c)
+            retry = np.nonzero(~(best_res <= res_c * (1 - 1e-4)))[0]
             for scale in (0.5, 0.25):
                 if not len(retry):
                     break
-                cand = _constrain(ch, cur[retry], cur[retry] - scale * step[retry])
+                start = cur_c.take(retry, axis=0)
+                cand = _constrain(ch, start, start - scale * step.take(retry, axis=0))
                 yc = ctx.frame_coords(c, cand)
-                res_new = row_norm(yc[:, :m] - tgt[retry])
+                res_new = row_norm(yc[:, :m] - tgt_c.take(retry, axis=0))
                 better = res_new < best_res[retry]
                 best[retry[better]] = cand[better]
                 best_y[retry[better]] = yc[better]
                 best_res[retry[better]] = res_new[better]
-                retry = retry[~(res_new <= res[retry] * (1 - 1e-4))]
-            coords[rows] = best
-            y[rows] = best_y
-            fresh[rows] = True
+                retry = retry[~(res_new <= res_c[retry] * (1 - 1e-4))]
+            # cur_c may view the iterate: test for pinned rows before writing
+            pinned = row_norm(best - cur_c) < 1e-12 * row_norm(step)
+            cur[at] = best
+            y[at] = best_y
+            fresh[at] = True
 
             # Pinned at a domain boundary: try to continue in another chart.
-            pinned = row_norm(best - cur) < 1e-12 * row_norm(step)
             if pinned.any() and f.locate is not None:
-                for row in rows[pinned]:
-                    target = f.locate(f.eval_chart(c, coords[row]), exclude=c)
+                for row in np.arange(len(ids))[at][pinned]:
+                    target = f.locate(f.eval_chart(c, cur[row]), exclude=c)
                     if target is not None:
                         chart[row] = target.chart
-                        coords[row] = target.coords
+                        cur[row] = target.coords
                         fresh[row] = False
+                        moved = True
+        if singular_rows.any():
+            live = ids, tgt, chart, cur, y, fresh, strikes = _leave(
+                live, singular_rows, _SOLVE_NO_CONV, out)
+        if not len(ids):
+            break
 
         # Region escape bookkeeping, in each row's chart after relocation.
-        act_idx = act_idx[active[act_idx]]
-        if not len(act_idx):
-            break
-        inside = _per_chart(region.contains, chart[act_idx], coords[act_idx])
-        strikes[act_idx[inside]] = 0
-        strikes[act_idx[~inside]] += 1
-        gone = act_idx[strikes[act_idx] >= 2]
-        status[gone] = _SOLVE_LEFT
-        active[gone] = False
+        inside = _per_chart(region.contains, chart, cur)
+        strikes[:] = np.where(inside, 0, strikes + 1)
+        gone = strikes >= 2
+        if gone.any():
+            live = _leave(live, gone, _SOLVE_LEFT, out)
+        if moved:
+            order = np.lexsort((live[0], live[2]))
+            live = [a.take(order, axis=0) for a in live]
 
-    status[status == -1] = _SOLVE_NO_CONV
-    return status, chart, coords, heights
+    _leave(live, np.ones(len(live[0]), dtype=bool), _SOLVE_NO_CONV, out)
+    return out
+
+
+def _leave(live, sel, code, out):
+    """Write the selected live rows' status, chart and iterate (and heights
+    when solved) into out, and return the other live rows."""
+    every = sel.all()  # then nothing stays, and nothing need be copied
+    rows, _, chart, cur, y = live[:5] if every else [a.compress(sel, axis=0) for a in live[:5]]
+    status, out_chart, out_coords, heights = out
+    status[rows], out_chart[rows], out_coords[rows] = code, chart, cur
+    if code == _SOLVE_OK:
+        heights[rows] = y[:, cur.shape[1]:]
+    return [a[:0] if every else a.compress(~sel, axis=0) for a in live]
 
 
 def _constrain(chart, start, cand):
@@ -611,9 +657,10 @@ def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
     P = len(node_idx)
     hi = np.asarray(shape) - 1
     node_map = np.full(shape, -1, dtype=np.int64)
-    node_map[tuple(node_idx.T)] = np.arange(P)
+    node_map.put(_flat_index(node_idx, shape), np.arange(P))
 
-    lvl = np.abs(node_idx - center).max(axis=1)
+    center = np.broadcast_to(center, (m,))
+    lvl = np.maximum.reduce([np.abs(node_idx[:, d] - center[d]) for d in range(m)])
     heights = np.zeros((P, k))
     p_chart = np.zeros(P, dtype=np.int64)
     p_coords = np.zeros((P, m))
@@ -622,8 +669,8 @@ def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
     bw = max(1.0, max(shape) / 4.0)
     block_of = np.floor(lvl / bw).astype(np.int64)
 
-    for b in np.unique(block_of):
-        rows = np.nonzero(block_of == b)[0]
+    for b in np.flatnonzero(np.bincount(block_of)):
+        rows = np.flatnonzero(block_of == b)
         if b == 0:
             seeds_c = np.full(len(rows), ctx.base_point.chart, dtype=np.int64)
             seeds_x = np.tile(ctx.base_point.coords, (len(rows), 1))
@@ -631,33 +678,34 @@ def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
         else:
             # Radial projection onto the outer solved ring, with a short
             # walk toward the center as fallback.
-            li = lvl[rows]
-            scale = (b * bw - 0.5) / np.maximum(li, 1e-12)
-            proj = np.rint(center + (node_idx[rows] - center) * scale[:, None])
-            proj = np.clip(proj, 0, hi).astype(np.int64)
+            scale = (b * bw - 0.5) / np.maximum(lvl.take(rows), 1e-12)
+            proj = np.empty((len(rows), m), dtype=np.int64)
+            for d in range(m):
+                ray = center[d] + (node_idx[:, d].take(rows) - center[d]) * scale
+                proj[:, d] = np.clip(np.rint(ray), 0, hi[d])
             for _ in range(int(2 * bw) + 5):
-                seed_ids = node_map[tuple(proj.T)]
-                good = (seed_ids >= 0) & solved[np.clip(seed_ids, 0, P - 1)]
+                seed_ids = node_map.take(_flat_index(proj, shape))
+                good = (seed_ids >= 0) & solved.take(seed_ids, mode="clip")
                 if good.all():
                     break
                 stuck = ~good
                 move = np.sign(center - proj[stuck]).astype(np.int64)
                 proj[stuck] = np.clip(proj[stuck] + move, 0, hi)
-            solve_rows = rows[good]
+            solve_rows = rows.compress(good)
             if len(solve_rows) == 0:
                 continue
-            seeds = seed_ids[good]
-            seeds_c = p_chart[seeds]
-            seeds_x = p_coords[seeds]
+            seeds = seed_ids.compress(good)
+            seeds_c = p_chart.take(seeds)
+            seeds_x = p_coords.take(seeds, axis=0)
         st, cc, px, hh = _solve_batch(
-            ctx, region, coords[solve_rows], seeds_c, seeds_x
+            ctx, region, coords.take(solve_rows, axis=0), seeds_c, seeds_x
         )
         ok = st == _SOLVE_OK
-        done = solve_rows[ok]
+        done = solve_rows.compress(ok)
         solved[done] = True
-        heights[done] = hh[ok]
-        p_chart[done] = cc[ok]
-        p_coords[done] = px[ok]
+        heights[done] = hh.compress(ok, axis=0)
+        p_chart[done] = cc.compress(ok)
+        p_coords[done] = px.compress(ok, axis=0)
     return node_map, solved, p_chart, p_coords, heights
 
 
@@ -667,16 +715,11 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     m, k = f.m, f.k
     r = ctx.radius
     a = r * (1 - 2e-9)
-    axis = np.linspace(-a, a, N)
-    mesh = np.meshgrid(*([axis] * m), indexing="ij")
-    coords_all = np.stack([g.ravel() for g in mesh], axis=-1)
-    idx_all = np.stack(
-        [g.ravel() for g in np.meshgrid(*([np.arange(N)] * m), indexing="ij")],
-        axis=-1,
-    )
+    coords_all = _grid_rows([np.linspace(-a, a, N)] * m)
+    idx_all = _grid_rows([np.arange(N)] * m)
     keep = row_norm(coords_all) < r * (1 - 1e-9)
-    coords = coords_all[keep]
-    node_idx = idx_all[keep]
+    coords = coords_all.compress(keep, axis=0)
+    node_idx = idx_all.compress(keep, axis=0)
     P = len(coords)
 
     node_map, solved, p_chart, p_coords, heights = _solve_lattice(
@@ -688,9 +731,10 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     # Exact derivatives from the tangent space at each solved parameter.
     du = np.full((P, k, m), np.nan)
     du_norm = np.full(P, np.nan)
-    ok_rows = np.nonzero(solved)[0]
+    ok_rows = np.flatnonzero(solved)
     if len(ok_rows):
-        jac = _per_chart(f.jacobian_chart, p_chart[ok_rows], p_coords[ok_rows])
+        jac = _per_chart(f.jacobian_chart, p_chart.take(ok_rows),
+                         p_coords.take(ok_rows, axis=0))
         basis = _orthonormalize_batch(jac)
         slope, vertical = graph_slopes(left_product(ctx.iso.rotation.T, basis))
         status[ok_rows[vertical]] = STATUS_VERTICAL
@@ -726,6 +770,8 @@ def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> np.ndarray:
     """
     if region.total_cells == 0:
         return np.zeros(0, dtype=np.int64)
+    if (a, N) in region.sheet_keys:
+        return region.sheet_keys[a, N]
     delta = 2 * a / (N - 1)
     noise_scale = max(region.h, delta)
     x_c = np.concatenate([b.x for b in region.blocks.values()])
@@ -745,7 +791,8 @@ def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> np.ndarray:
     sig_max = np.maximum.reduceat(sig_s, starts)
     gaps = (u_max - u_min).max(axis=1)
     hit = (ends - starts >= 2) & (gaps > 10.0 * noise_scale * sig_max)
-    return key_s[starts[hit]]
+    region.sheet_keys[a, N] = key_s[starts[hit]]
+    return region.sheet_keys[a, N]
 
 
 def second_sheet_present(region: ComponentRegion, radius: float, N: int,
@@ -758,11 +805,11 @@ def second_sheet_present(region: ComponentRegion, radius: float, N: int,
     a = radius * (1 - 2e-9)
     idx = np.unravel_index(_sheet_gap_keys(region, a, N, m), (N,) * m)
     coords = np.linspace(-a, a, N)[np.stack(idx, axis=-1)]
-    return bool((np.linalg.norm(coords, axis=1) < radius * (1 - 1e-9)).any())
+    return bool((row_norm(coords) < radius * (1 - 1e-9)).any())
 
 
 def _mark_multi_sheet(region: ComponentRegion, status, node_map, a, N, m):
-    nodes = node_map[np.unravel_index(_sheet_gap_keys(region, a, N, m), (N,) * m)]
+    nodes = node_map.take(_sheet_gap_keys(region, a, N, m))
     status[nodes[nodes >= 0]] = STATUS_MULTI_SHEET
 
 
@@ -784,7 +831,7 @@ def norms(sample: GraphSample) -> NormEstimates:
         lip = float("inf")
     else:
         lip = float(sample.du_norm.max()) if len(sample.du_norm) else 0.0
-    c0 = float(np.linalg.norm(sample.heights, axis=1).max())
+    c0 = float(row_norm(sample.heights).max())
     if np.isfinite(lip):
         c0 += (sample.radius / sample.grid_n) * lip
     return NormEstimates(c0=c0, lip=lip)

@@ -222,8 +222,10 @@ class Isometry:
         return x @ self.rotation.T + self.translation
 
     def inverse_apply(self, x) -> np.ndarray:
+        """(x - T) @ R, with x shifted one column at a time."""
         x = np.asarray(x, dtype=float)
-        return (x - self.translation) @ self.rotation
+        shifted = np.stack([x[..., j] - t for j, t in enumerate(self.translation)], axis=-1)
+        return shifted @ self.rotation
 
     def inverse(self) -> "Isometry":
         return Isometry(self.rotation.T, -self.rotation.T @ self.translation)

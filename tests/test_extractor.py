@@ -541,3 +541,234 @@ class TestFrameIndependence:
         tol = 20.0 * (r / n)
         assert abs(na.c0 - nb.c0) <= tol
         assert abs(na.lip - nb.lip) <= tol
+
+
+def broadcast_cell_index(chart, size, coords):
+    """_cell_index as written with a broadcast (m,)-vector shift: the
+    reference the per-column form must match bit for bit."""
+    return np.floor((np.atleast_2d(coords) - chart.lo) / size).astype(np.int64)
+
+
+def broadcast_window_pos(cells, lo, shape, counts, periodic):
+    pos = cells - lo
+    ok = np.ones(len(pos), dtype=bool)
+    for d, col in enumerate(pos.T):
+        if periodic[d]:
+            col %= counts[d]
+        ok &= (col >= 0) & (col < shape[d])
+    return pos, ok
+
+
+def tuple_lookup_contains(region, chart, coords):
+    """ComponentRegion.contains as written with a tuple-of-columns lookup."""
+    coords = np.atleast_2d(coords)
+    out = np.zeros(len(coords), dtype=bool)
+    if chart not in region.windows:
+        return out
+    lo, halo = region.windows[chart]
+    ch = region.charts[chart]
+    pos, ok = broadcast_window_pos(
+        broadcast_cell_index(ch, region.cell_sizes[chart], coords), lo, halo.shape,
+        region.cell_counts[chart], ch.periodic)
+    out[ok] = halo[tuple(pos[ok].T)]
+    return out
+
+
+def fancy_index_solve_lattice(ctx, region, node_idx, coords, center, shape):
+    """_solve_lattice as written with tuple lookups, (m,)-vector broadcasts,
+    np.unique blocks and fancy-index gathers; also returns whether a seed
+    walked toward the centre."""
+    m, k = node_idx.shape[1], ctx.immersion.k
+    P = len(node_idx)
+    hi = np.asarray(shape) - 1
+    node_map = np.full(shape, -1, dtype=np.int64)
+    node_map[tuple(node_idx.T)] = np.arange(P)
+    lvl = np.abs(node_idx - center).max(axis=1)
+    heights, p_chart = np.zeros((P, k)), np.zeros(P, dtype=np.int64)
+    p_coords, solved = np.zeros((P, m)), np.zeros(P, dtype=bool)
+    bw = max(1.0, max(shape) / 4.0)
+    block_of = np.floor(lvl / bw).astype(np.int64)
+    walked = False
+    for b in np.unique(block_of):
+        rows = np.nonzero(block_of == b)[0]
+        if b == 0:
+            seeds_c = np.full(len(rows), ctx.base_point.chart, dtype=np.int64)
+            seeds_x = np.tile(ctx.base_point.coords, (len(rows), 1))
+            solve_rows = rows
+        else:
+            scale = (b * bw - 0.5) / np.maximum(lvl[rows], 1e-12)
+            proj = np.rint(center + (node_idx[rows] - center) * scale[:, None])
+            proj = np.clip(proj, 0, hi).astype(np.int64)
+            for _ in range(int(2 * bw) + 5):
+                seed_ids = node_map[tuple(proj.T)]
+                good = (seed_ids >= 0) & solved[np.clip(seed_ids, 0, P - 1)]
+                if good.all():
+                    break
+                walked = True
+                stuck = ~good
+                move = np.sign(center - proj[stuck]).astype(np.int64)
+                proj[stuck] = np.clip(proj[stuck] + move, 0, hi)
+            solve_rows = rows[good]
+            if len(solve_rows) == 0:
+                continue
+            seeds = seed_ids[good]
+            seeds_c, seeds_x = p_chart[seeds], p_coords[seeds]
+        status, chart, px, hh = extractor._solve_batch(
+            ctx, region, coords[solve_rows], seeds_c, seeds_x)
+        ok = status == extractor._SOLVE_OK
+        done = solve_rows[ok]
+        solved[done] = True
+        heights[done], p_chart[done], p_coords[done] = hh[ok], chart[ok], px[ok]
+    return (node_map, solved, p_chart, p_coords, heights), walked
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGatherRewrites:
+    """Row gathers by take/compress, per-column shifts and flat cell lookups
+    give the bits of the fancy-index and broadcast forms they replace."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(["torus-seam", "sphere-two-charts", "circle-seam",
+                            "torus-wrap"]), st.integers(0, 2**32 - 1))
+    def test_contains_matches_tuple_lookup(self, regions, name, seed):
+        # rows near the region, rows far outside its window (several periods
+        # away on periodic axes) and charts the region never reached
+        _, region = regions[name]
+        rng = np.random.default_rng(seed)
+        for chart, ch in enumerate(region.charts):
+            span = ch.hi - ch.lo
+            far = ch.lo + span * rng.uniform(-3.0, 4.0, (300, len(span)))
+            coords = far
+            if chart in region.blocks:
+                block = region.blocks[chart]
+                near = block.center[rng.integers(0, len(block.center), 300)]
+                near = near + region.cell_sizes[chart] * rng.uniform(-3.0, 3.0, near.shape)
+                coords = np.concatenate([near, far])
+            got = region.contains(chart, coords)
+            ref = tuple_lookup_contains(region, chart, coords)
+            assert same_bits(got, ref)
+            assert ref.any() == (chart in region.windows)
+            assert not ref.all()
+            size = region.cell_sizes[chart]
+            assert same_bits(extractor._cell_index(ch, size, coords),
+                             broadcast_cell_index(ch, size, coords))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 50), st.integers(0, 2**32 - 1))
+    def test_window_pos_matches_broadcast(self, m, rows, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 30, m)
+        shape = rng.integers(1, 40, m)
+        lo = rng.integers(-40, 40, m)
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, m))
+        cells = rng.integers(-100, 100, (rows, m))
+        got = extractor._window_pos(cells, lo, shape, counts, periodic)
+        ref = broadcast_window_pos(cells, lo, shape, counts, periodic)
+        assert all(same_bits(a, b) for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("N", [34, 66])
+    def test_lattice_matches_fancy_index_form(self, sphere, N):
+        # at N = 2 mod 4 ring seeds round onto their own unsolved ring and
+        # walk toward the centre
+        ctx = tg.FrameContext.at(sphere, sphere.point(4, [0.1, 0.2]), 0.3)
+        region = tg.component(ctx)
+        a = 0.3 * (1 - 2e-9)
+        mesh = np.meshgrid(*[np.arange(N)] * 2, indexing="ij")
+        node_idx = np.stack([g.ravel() for g in mesh], axis=-1)
+        coords = np.linspace(-a, a, N)[node_idx]
+        keep = np.linalg.norm(coords, axis=1) < 0.3 * (1 - 1e-9)
+        args = (node_idx[keep], coords[keep], (N - 1) / 2.0, (N, N))
+        ref, walked = fancy_index_solve_lattice(ctx, region, *args)
+        got = extractor._solve_lattice(ctx, region, *args)
+        assert walked and ref[1].all()
+        assert all(same_bits(x, y) for x, y in zip(got, ref))
+
+    def test_certifier_lattice_matches_fancy_index_form(self, sphere):
+        # the certifier's lattice has an integer array centre; at 3 nodes
+        # per rho its seeds walk as well
+        f, q, r, s = sphere, sphere.point(4, [0.1, 0.2]), 0.3, 3
+        delta = (r / 5.0) / s
+        mesh = np.meshgrid(*[np.arange(-(s - 1), s)] * 2, indexing="ij")
+        base = np.stack([g.ravel() for g in mesh], axis=-1)
+        base = base[np.linalg.norm(base * delta, axis=1) < r / 5.0]
+        nodes = np.unique(np.concatenate([base] + [base + s * e for e in np.eye(2, dtype=int)]),
+                          axis=0)
+        ctx = tg.FrameContext(f, q, tg.FrameContext.at(f, q, r).iso, 2.2 * r / 5.0)
+        region = tg.component(ctx)
+        lo = nodes.min(axis=0)
+        args = (nodes - lo, nodes * delta, -lo, tuple(nodes.max(axis=0) - lo + 1))
+        ref, walked = fancy_index_solve_lattice(ctx, region, *args)
+        got = extractor._solve_lattice(ctx, region, *args)
+        assert walked and ref[1].all()
+        assert all(same_bits(x, y) for x, y in zip(got, ref))
+
+
+@pytest.fixture(scope="module")
+def sphere_rows(sphere):
+    """A sphere batch whose rows relocate past chart 0's edge, start in
+    another chart, leave the region, have a singular Newton system, or
+    solve plainly; with its solution row by row in the given order."""
+    q = sphere.point(0, [0.8, 0.0])
+    ctx = tg.FrameContext.at(sphere, q, 0.5)
+    region = tg.component(ctx)
+    rng = np.random.default_rng(1)
+    z = np.linspace(-0.09, 0.09, 5)
+    y = 0.93 + 0.04 * rng.random(5)
+    edge = np.stack([np.sqrt(1 - y * y - z * z), y, z], axis=-1)
+    targets = np.concatenate([
+        ctx.iso.inverse_apply(edge)[:, :2],              # relocate into chart 2
+        ctx.iso.inverse_apply(edge[:2])[:, :2],          # seeded in chart 2
+        rng.uniform(-0.3, 0.3, (6, 2)),                  # plain
+        [[0.0, 0.9], [0.85, 0.0], [0.6, 0.6]],           # outside the ball: LEFT
+        [[0.1, -0.1]],                                   # singular seed
+    ])
+    charts = np.zeros(len(targets), dtype=np.int64)
+    seeds = np.tile(q.coords, (len(targets), 1))
+    for i in (5, 6):
+        located = sphere.locate(edge[i - 5], exclude=0)
+        charts[i], seeds[i] = located.chart, located.coords
+    seeds[-1] = q.coords + [0.0, 0.05]
+    return ctx, region, targets, charts, seeds
+
+
+def solve_rows(sphere, batch, rows):
+    """_solve_batch on the given rows, the last row's seed made singular."""
+    ctx, region, targets, charts, seeds = batch
+    real_jac = sphere.jacobian_chart
+
+    def jacobian_chart(chart, coords):
+        jac = real_jac(chart, coords)
+        jac[(coords == seeds[-1]).all(axis=1)] = 0.0
+        return jac
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphere, "jacobian_chart", jacobian_chart)
+        return extractor._solve_batch(ctx, region, targets[rows], charts[rows],
+                                      seeds[rows])
+
+
+class TestSolveBatchRowOrder:
+    @pytest.fixture(scope="class")
+    def reference(self, sphere, sphere_rows):
+        ref = solve_rows(sphere, sphere_rows, np.arange(len(sphere_rows[2])))
+        status, chart = ref[0], ref[1]
+        assert (chart[:7] == 2).all() and (status[:13] == extractor._SOLVE_OK).all()
+        assert (status[13:16] == extractor._SOLVE_LEFT).all()
+        assert status[16] == extractor._SOLVE_NO_CONV
+        return ref
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_rows_solve_alike_in_any_order_and_company(self, sphere, sphere_rows,
+                                                        reference, data):
+        # any order of any subset of the rows, B = 0 included, gives each
+        # row the bits it gets in the whole batch
+        P = len(sphere_rows[2])
+        rows = np.array(data.draw(st.permutations(range(P))), dtype=np.int64)
+        rows = rows[:data.draw(st.integers(0, P))]
+        got = solve_rows(sphere, sphere_rows, rows)
+        for a, b in zip(got, reference):
+            assert same_bits(a, b[rows])

@@ -150,6 +150,17 @@ class TestIsometry:
         c = a.compose(b)
         assert np.allclose(c.rotation.T @ c.rotation, np.eye(5), atol=1e-12)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_inverse_apply_keeps_the_broadcast_bits(self, n, rows, seed):
+        # stacks are shifted one column at a time; the reference subtracts
+        # the translation by broadcasting
+        rng = np.random.default_rng(seed)
+        iso = Isometry(random_rotation(n, rng), 10.0 * rng.standard_normal(n))
+        for x in (rng.standard_normal(n), rng.standard_normal((rows, n))):
+            ref = (x - iso.translation) @ iso.rotation
+            assert np.array_equal(iso.inverse_apply(x), ref)
+
 
 class TestAdmissibleIsometry:
     def test_aligned_plane_gives_aligned_frame(self):
