@@ -72,7 +72,7 @@ class SystemExit2(Exception):
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--out", help="output path (JSON or CSV per command)")
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--quiet", action="store_true", default=None)
 
 
 def _add_entry_flags(p):
@@ -91,10 +91,10 @@ def build_parser() -> _Parser:
 
     p_ext = sub.add_parser("extract", help="graph sample over one base point")
     _add_entry_flags(p_ext)
-    p_ext.add_argument("--q", default="0", help="base coords, comma separated")
+    p_ext.add_argument("--q", help="base coords, comma separated")
     p_ext.add_argument("--chart", type=int, default=None)
     p_ext.add_argument("--r", type=float, required=False)
-    p_ext.add_argument("--grid", type=int, default=256)
+    p_ext.add_argument("--grid", type=int, default=None)
     p_ext.add_argument("--h", type=float, default=None, dest="cell")
     _add_common(p_ext)
 
@@ -102,9 +102,9 @@ def build_parser() -> _Parser:
     _add_entry_flags(p_rad)
     p_rad.add_argument("--kind", choices=["c0", "c1"], required=False)
     p_rad.add_argument("--lambda", dest="lam", type=float, required=False)
-    p_rad.add_argument("--tol", type=float, default=1e-3)
+    p_rad.add_argument("--tol", type=float, default=None)
     p_rad.add_argument("--grid", type=int, default=None)
-    p_rad.add_argument("--samples", type=int, default=8,
+    p_rad.add_argument("--samples", type=int, default=None,
                        help="sampler points per chart axis")
     _add_common(p_rad)
 
@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
     p_ce.add_argument("--eps", type=float, required=False)
     p_ce.add_argument("--delta", type=float, required=False)
     p_ce.add_argument("--r", type=float, required=False)
-    p_ce.add_argument("--angles", type=int, default=4096)
+    p_ce.add_argument("--angles", type=int, default=None)
     _add_common(p_ce)
 
     return parser
@@ -219,7 +219,8 @@ def _cmd_extract(cfg) -> int:
     out = cfg.get("out") or "graph_sample.csv"
     sample.to_csv(out)
     if not cfg.get("quiet", False):
-        print(json.dumps({"written": out, "status_counts": sample.status_counts()}))
+        print(json.dumps({"written": out, "status_counts": sample.status_counts(),
+                          "cell_size": sample.region_h}))
     return EXIT_OK
 
 
@@ -285,7 +286,7 @@ def _cmd_verify(cfg) -> int:
         raise InvalidParams(f"{statement} requires --r")
     r = float(cfg["r"])
     if statement == "distance":
-        rho = float(cfg.get("rho") or r)
+        rho = r if cfg.get("rho") is None else float(cfg["rho"])
         holds = check_distance_bound(immersion, q, rho, r, lam, N=grid)
         _emit(cfg, {"holds": holds, "r": r, "rho": rho, "lambda": lam})
         return EXIT_OK if holds else EXIT_FAIL

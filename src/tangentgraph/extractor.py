@@ -433,41 +433,29 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
            np.atleast_2d(np.asarray(seed_coords, dtype=float)).copy(),
            np.zeros((B, k)))
     # Live rows, sorted by chart so that each chart's rows are one slice:
-    # row id, target, chart, iterate, its frame coords (fresh where the line
-    # search already evaluated them at the accepted candidate), strikes.
+    # row id, target, chart, iterate, its frame coords, strikes.
     order = np.argsort(out[1], kind="stable")
-    live = [order, targets.take(order, axis=0), out[1].take(order),
-            out[2].take(order, axis=0), np.empty((B, f.n)), np.zeros(B, dtype=bool),
-            np.zeros(B, dtype=np.int8)]
+    ids, tgt, chart, cur, y, strikes = live = [
+        order, targets.take(order, axis=0), out[1].take(order),
+        out[2].take(order, axis=0), np.empty((B, f.n)), np.zeros(B, dtype=np.int8)]
+    for c, sl in _chart_slices(chart):
+        y[sl] = ctx.frame_coords(c, cur[sl])
     for _ in range(NEWTON_MAX_ITER):
-        ids, tgt, chart, cur, y, fresh, strikes = live
-        for c, sl in _chart_slices(chart):
-            stale = sl.start + np.flatnonzero(~fresh[sl])
-            if len(stale) == sl.stop - sl.start:
-                y[sl] = ctx.frame_coords(c, cur[sl])
-            elif len(stale):
-                y[stale] = ctx.frame_coords(c, cur.take(stale, axis=0))
+        ids, tgt, chart, cur, y, strikes = live
         g = y[:, :m] - tgt
         res = row_norm(g)
         conv = res <= tol
         if conv.any():
             g, res = g.compress(~conv, axis=0), res.compress(~conv)
-            live = ids, tgt, chart, cur, y, fresh, strikes = _leave(live, conv, _SOLVE_OK, out)
+            live = ids, tgt, chart, cur, y, strikes = _leave(live, conv, _SOLVE_OK, out)
 
         # Newton step in the frame projection, one chart's slice at a time;
         # a row relocated into another chart waits a turn.
         singular_rows, moved = np.zeros(len(ids), dtype=bool), False
         for c, sl in _chart_slices(chart):
-            at, cur_c, tgt_c, res_c = sl, cur[sl], tgt[sl], res[sl]
+            cur_c, tgt_c, res_c = cur[sl], tgt[sl], res[sl]
             jac = f.jacobian_chart(c, cur_c)
-            step, singular = _solve_linear(left_product(proj, jac), g[sl])
-            if singular.any():
-                singular_rows[sl] = singular
-                at = sl.start + np.flatnonzero(~singular)
-                if not len(at):
-                    continue
-                cur_c, tgt_c, res_c, step = (a.compress(~singular, axis=0)
-                                             for a in (cur_c, tgt_c, res_c, step))
+            step, singular_rows[sl] = _solve_linear(left_product(proj, jac), g[sl])
 
             # Backtracking: rows whose residual did not drop retry at half and
             # then a quarter of the step, keeping their best candidate.
@@ -488,23 +476,23 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                 best_y[retry[better]] = yc[better]
                 best_res[retry[better]] = res_new[better]
                 retry = retry[~(res_new <= res_c[retry] * (1 - 1e-4))]
-            # cur_c may view the iterate: test for pinned rows before writing
+            # cur_c views the iterate: test for pinned rows before writing
             pinned = row_norm(best - cur_c) < 1e-12 * row_norm(step)
-            cur[at] = best
-            y[at] = best_y
-            fresh[at] = True
+            cur[sl] = best
+            y[sl] = best_y
 
             # Pinned at a domain boundary: try to continue in another chart.
             if pinned.any() and f.locate is not None:
-                for row in np.arange(len(ids))[at][pinned]:
+                for row in sl.start + np.flatnonzero(pinned):
                     target = f.locate(f.eval_chart(c, cur[row]), exclude=c)
                     if target is not None:
                         chart[row] = target.chart
                         cur[row] = target.coords
-                        fresh[row] = False
+                        y[row] = ctx.frame_coords(target.chart, target.coords[None, :])[0]
                         moved = True
+        # A singular row took no step; it ends unsolved.
         if singular_rows.any():
-            live = ids, tgt, chart, cur, y, fresh, strikes = _leave(
+            live = ids, tgt, chart, cur, y, strikes = _leave(
                 live, singular_rows, _SOLVE_NO_CONV, out)
         if not len(ids):
             break

@@ -98,7 +98,6 @@ class ParamImmersion:
     m: int
     n: int
     charts: list
-    sample_per_axis: int = 64
     locate: callable = None  # ambient point -> ParamPoint in another chart
     _bbox_cache: float = field(default=None, repr=False)
 
@@ -126,9 +125,8 @@ class ParamImmersion:
     def jacobian_chart(self, chart: int, coords) -> np.ndarray:
         return np.asarray(self.charts[chart].jacobian(coords), dtype=float)
 
-    def sample_points(self, per_axis: int = None) -> list:
+    def sample_points(self, per_axis: int) -> list:
         """Deterministic grid sample covering the represented portion of M."""
-        per_axis = self.sample_per_axis if per_axis is None else per_axis
         if per_axis < 0:
             raise ValueError(f"per_axis must be non-negative, got {per_axis}")
         out = []
@@ -163,7 +161,6 @@ class ParamImmersion:
             "m": self.m,
             "n": self.n,
             "charts": len(self.charts),
-            "sample_per_axis": self.sample_per_axis,
         }
 
 
@@ -487,15 +484,12 @@ def zoo_build(name: str, params: dict = None) -> ParamImmersion:
         raise UnknownEntry(f"unknown zoo entry {name!r}; have {sorted(ZOO)}")
     entry = ZOO[name]
     merged = dict(entry.defaults)
-    extra_ok = {"height", "height_grad", "sample_per_axis"}
+    extra_ok = {"height", "height_grad"}
     for key, value in (params or {}).items():
         if key not in entry.defaults and key not in extra_ok:
             raise InvalidParams(f"unknown parameter {key!r} for entry {name!r}")
         merged[key] = value
-    immersion = entry.builder(merged)
-    if "sample_per_axis" in merged:
-        immersion.sample_per_axis = int(merged["sample_per_axis"])
-    return immersion
+    return entry.builder(merged)
 
 
 def _map_image(f: ParamImmersion, point, jacobian, inverse,
@@ -522,7 +516,6 @@ def _map_image(f: ParamImmersion, point, jacobian, inverse,
         f.m,
         f.n,
         [wrap_chart(ch) for ch in f.charts],
-        sample_per_axis=f.sample_per_axis,
         locate=locate,
     )
 

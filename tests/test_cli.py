@@ -195,6 +195,15 @@ class TestVerifyCommand:
         assert json.loads(out)["result"] == {"holds": True, "r": 0.19,
                                              "rho": 0.19, "lambda": 0.1}
 
+    def test_distance_rejects_zero_rho(self, capsys):
+        code, _, err = run(
+            ["verify", "distance", "--immersion", "circle", "--R", "1",
+             "--lambda", "0.1", "--r", "0.19", "--q", "0.3", "--rho", "0"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "need 0 < rho <= r" in err
+
     def test_enlargement_at_given_radius(self, capsys):
         code, out, _ = run(
             ["verify", "enlargement", "--immersion", "circle", "--R", "1",
@@ -306,6 +315,98 @@ class TestCounterexampleCommand:
             capsys,
         )
         assert code == EXIT_FAIL
+
+
+RADII = ["radii", "--kind", "c1", "--immersion", "circle", "--lambda", "0.5"]
+
+
+class TestConfigPrecedence:
+    """A field given only in --config is used, and a flag overrides it."""
+
+    @staticmethod
+    def run_config(tmp_path, capsys, fields, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        return run(args + ["--config", str(cfg)], capsys)
+
+    def test_radii_tol(self, tmp_path, capsys):
+        code, out, _ = self.run_config(tmp_path, capsys, {"tol": 0.01},
+                                       RADII + ["--samples", "2"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["result"]["tol"] == 0.01
+        assert report["config"]["tol"] == 0.01
+
+    def test_radii_samples(self, tmp_path, capsys):
+        code, out, _ = self.run_config(tmp_path, capsys, {"samples": 2},
+                                       RADII + ["--tol", "0.01"])
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["sample_spec"]["sample_count"] == 2
+
+    def test_flag_overrides_config(self, tmp_path, capsys):
+        code, out, _ = self.run_config(tmp_path, capsys, {"tol": 0.01},
+                                       RADII + ["--samples", "2", "--tol", "0.02"])
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["tol"] == 0.02
+
+    def test_defaults_stay_out_of_the_embedded_config(self, tmp_path, capsys):
+        code, out, _ = self.run_config(tmp_path, capsys, {"samples": 1}, RADII)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["config"]["samples"] == 1
+        assert "tol" not in report["config"] and "grid" not in report["config"]
+        assert report["result"]["tol"] == 1e-3
+        assert report["result"]["grid_n"] == 256
+
+    @pytest.fixture
+    def extract_calls(self, monkeypatch):
+        calls, real = [], cli.extract
+
+        def extract(ctx, N, h=None):
+            calls.append((ctx.base_point.coords.tolist(), N))
+            return real(ctx, N, h)
+
+        monkeypatch.setattr(cli, "extract", extract)
+        return calls
+
+    def test_extract_grid(self, tmp_path, capsys, extract_calls):
+        out_file = tmp_path / "sample.csv"
+        code, out, _ = self.run_config(
+            tmp_path, capsys, {"grid": 64},
+            ["extract", "--immersion", "circle", "--r", "0.5", "--out", str(out_file)])
+        assert code == EXIT_OK
+        assert extract_calls == [([0.0], 64)]
+        assert len(out_file.read_text().strip().splitlines()) == 65
+        # the summary line records the flood's cell size
+        circle = tg.zoo_build("circle")
+        ctx = tg.FrameContext.at(circle, circle.point(0, [0.0]), 0.5)
+        assert json.loads(out)["cell_size"] == tg.component(ctx).h
+
+    def test_extract_q(self, tmp_path, capsys, extract_calls):
+        code, _, _ = self.run_config(
+            tmp_path, capsys, {"q": "0.3"},
+            ["extract", "--immersion", "circle", "--r", "0.5", "--grid", "16",
+             "--out", str(tmp_path / "sample.csv")])
+        assert code == EXIT_OK
+        assert extract_calls == [([0.3], 16)]
+
+    def test_counterexample_angles(self, tmp_path, capsys):
+        code, out, _ = self.run_config(
+            tmp_path, capsys, {"angles": 16},
+            ["counterexample", "--eps", "1e-6", "--delta", "1e-7", "--r", "0.2"])
+        assert code == EXIT_OK
+        # the 16 sampled angles and the horizontal line
+        assert json.loads(out)["result"]["angle_count"] == 17
+
+    def test_quiet(self, tmp_path, capsys):
+        out_file = tmp_path / "out.json"
+        code, out, _ = self.run_config(
+            tmp_path, capsys, {"quiet": True},
+            ["counterexample", "--eps", "1e-6", "--delta", "1e-7", "--r", "0.2",
+             "--angles", "16", "--out", str(out_file)])
+        assert code == EXIT_OK
+        assert out == ""
+        assert load_report(out_file)["result"]["angle_count"] == 17
 
 
 class TestContracts:

@@ -439,6 +439,17 @@ class TestExtract:
         est = tg.norms(sample)
         assert est.lip > 15.0 or math.isinf(est.lip)
 
+    def test_vertical_node_makes_lip_infinite(self, circle):
+        # no zoo grid at a valid radius has a vertical node: mark one
+        sample = tg.extract(circle_ctx(circle, 0.5), 64)
+        finite = tg.norms(sample)
+        sample.status[10] = extractor.STATUS_VERTICAL
+        est = tg.norms(sample)
+        assert math.isinf(est.lip)
+        # without a finite slope bound c0 carries no resolution correction
+        assert est.c0 == pytest.approx(np.abs(sample.heights).max(), rel=1e-15)
+        assert est.c0 < finite.c0
+
     @pytest.mark.parametrize("name,N", [("circle", 64), ("circle", 66), ("circle", 258),
                                         ("sphere", 34), ("sphere", 130)])
     def test_reconstruction_invariant(self, circle, sphere, name, N):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tangentgraph as tg
-from tangentgraph import Inconclusive, MonotonicityViolation, radius
+from tangentgraph import Inconclusive, MonotonicityViolation, extractor, radius
 
 from conftest import cached_max_radius, circle_r0, circle_r1
 
@@ -91,6 +91,21 @@ class TestPropertyChecks:
         assert all(w.status == "pass" for w in v.witnesses)
         assert v.witnesses[0].lip == pytest.approx(0.4 / math.sqrt(0.84),
                                                    rel=1e-3)
+
+    def test_vertical_node_fails_the_slope_property(self, circle, monkeypatch):
+        # no zoo grid inside a passing radius has a vertical node: mark one
+        real = radius._extract_on_region
+
+        def extract(ctx, region, N):
+            sample = real(ctx, region, N)
+            sample.status[0] = extractor.STATUS_VERTICAL
+            return sample
+
+        monkeypatch.setattr(radius, "_extract_on_region", extract)
+        v = tg.is_r_lambda(circle, 0.4, 0.5, [circle.point(0, [0.0])])
+        assert not v.holds and not v.inconclusive
+        assert v.reason == "vertical node"
+        assert math.isinf(v.witnesses[0].lip)
 
     def test_boundary_escape_is_inconclusive(self):
         g = tg.zoo_build("graph_of", {"m": 1, "coeff": 1.0, "extent": 1.05,

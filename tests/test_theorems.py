@@ -40,6 +40,12 @@ def certifier_lattice(f, q, r, s):
     return ctx, nodes * delta, solution
 
 
+def edge_line(extent):
+    """A straight line whose parameter domain ends at +-extent."""
+    return tg.zoo_build("graph_of", {"m": 1, "coeff": 0.0, "extent": extent,
+                                     "window": 1.0})
+
+
 class TestLambdaCap:
     # threshold values stated with the regularity theorem
     @pytest.mark.parametrize("m,expected", [(1, 1e-5), (2, 2.5e-6), (10, 1e-7)])
@@ -86,6 +92,16 @@ class TestMainTheorem:
         with pytest.raises(PreconditionViolated):
             tg.verify_main_theorem(circle, 1.0, circle.sample_points(per_axis=2))
 
+    def test_unbounded_height_radius_fails(self, circle, monkeypatch):
+        # no zoo input has an unbounded r0 beside a bounded r1: stub both brackets
+        def bracket(f, lam, kind, Q, tol, N):
+            status = "unbounded" if kind == tg.KIND_C0 else "bracketed"
+            return theorems.RadiusReport(lam, kind, 0.5, 0.6, status, tol, 64, {})
+
+        monkeypatch.setattr(theorems, "max_radius", bracket)
+        v = tg.verify_main_theorem(circle, 1e-5, [circle.point(0, [0.0])])
+        assert v.margin == -math.inf and v.holds is False
+
     def test_torus_positive_margin_at_threshold(self, torus, radius_cache):
         Q = [torus.point(0, [0.0, math.pi]), torus.point(0, [0.0, 0.0])]
         v = tg.verify_main_theorem(torus, tg.lambda_cap(2), Q)
@@ -116,6 +132,27 @@ class TestEnlargement:
         with pytest.raises(PreconditionViolated):
             tg.check_enlargement(circle, 0.9, 0.1, Q)
 
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        seen, real = [], theorems.is_r_lambda
+
+        def is_r_lambda(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(theorems, "is_r_lambda", is_r_lambda)
+        return seen
+
+    @pytest.mark.parametrize("r,inconclusive", [
+        (0.5, [True]),  # the base component reaches the edge at 1.2
+        (0.2, [False, True]),  # only the lifted one, at 0.35, does
+    ])
+    def test_inconclusive_property_is_raised(self, verdicts, r, inconclusive):
+        g = edge_line(1.2)
+        with pytest.raises(Inconclusive, match="boundary of chart 0"):
+            tg.check_enlargement(g, r, 0.1, [g.point(0, [0.9])])
+        assert [v.inconclusive for v in verdicts] == inconclusive
+
 
 class TestDistanceBound:
     def test_flat_exact(self):
@@ -132,6 +169,19 @@ class TestDistanceBound:
         w = tg.zoo_build("wiggle", {})
         q = w.point(0, [2.5e-8])  # a crest of the oscillation
         assert tg.check_distance_bound(w, q, 1e-6, 2e-6, 2.0)
+
+    def test_heights_past_the_bound_fail(self, circle, monkeypatch):
+        # without the c0 hypothesis the circle's heights at rho = 0.9 reach
+        # 0.56, far past rho + r * lam
+        monkeypatch.setattr(theorems, "_require", lambda *args, **kwargs: None)
+        assert tg.check_distance_bound(circle, circle.point(0, [0.3]), 0.9, 0.9,
+                                       1e-6) is False
+
+    def test_inconclusive_hypothesis_is_raised(self):
+        # the c0 witness at q reaches the chart's edge at 1.05
+        g = edge_line(1.05)
+        with pytest.raises(Inconclusive, match="boundary of chart 0"):
+            tg.check_distance_bound(g, g.point(0, [0.9]), 0.5, 0.5, 0.1)
 
     def test_rho_validation(self, circle):
         with pytest.raises(ValueError):
@@ -169,6 +219,13 @@ class TestInclusion:
         f = {"circle": circle, "sphere": sphere}[name]
         with pytest.raises(PreconditionViolated, match=lip):
             tg.check_inclusion(f, f.point(*q), r, lam)
+
+    def test_wiggle_without_the_slope_hypothesis_fails(self, monkeypatch):
+        # at a steep point the r-component is a fraction of one period, far
+        # less than the crest's (2r/5)-component
+        monkeypatch.setattr(theorems, "_require", lambda *args, **kwargs: None)
+        w = tg.zoo_build("wiggle", {})
+        assert tg.check_inclusion(w, w.point(0, [2.5e-8]), 1e-6, 0.1) is False
 
     def test_slope_cap_enforced(self, circle):
         with pytest.raises(PreconditionViolated):

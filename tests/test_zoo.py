@@ -180,16 +180,6 @@ class TestSamplerInvariants:
 
     def test_zero_per_axis_is_an_empty_sample(self, circle):
         assert circle.sample_points(per_axis=0) == []
-        assert len(circle.sample_points()) == circle.sample_per_axis
-
-    @pytest.mark.parametrize("name", ["circle", "sphere2"])
-    def test_sample_per_axis_sets_the_default(self, name):
-        default = tg.zoo_build(name)
-        f = tg.zoo_build(name, {"sample_per_axis": 3})
-        assert default.sample_per_axis != 3
-        assert f.sample_per_axis == f.describe()["sample_per_axis"] == 3
-        assert ([(p.chart, p.coords.tolist()) for p in f.sample_points()]
-                == [(p.chart, p.coords.tolist()) for p in default.sample_points(per_axis=3)])
 
     @pytest.mark.parametrize("name", ["circle", "torus", "sphere2", "graph_of"])
     def test_negative_per_axis_is_rejected(self, name):
