@@ -81,6 +81,7 @@ class _CellBlock:
     x: np.ndarray        # (C, m) frame projections of the centers
     u: np.ndarray        # (C, k) frame heights of the centers
     sigma: np.ndarray    # (C,) largest Jacobian singular value at the centers
+    scale: np.ndarray    # (C,) image width bound sigma_max(J diag(cell size)) there
 
 
 def _cell_index(chart, size, coords) -> np.ndarray:
@@ -146,16 +147,22 @@ def _label(mask: np.ndarray, seam) -> np.ndarray:
 class ComponentRegion:
     """Connected set of parameter-grid cells forming the base component."""
 
-    h: float
+    h_axes: np.ndarray          # (m,) per-axis cell sizes the flood was given
     cell_sizes: dict            # chart -> (m,) per-axis sizes
     cell_counts: dict           # chart -> (m,) int cells per axis
     blocks: dict                # chart -> _CellBlock
     sigma_max: float
+    scale_max: float            # largest cell scale over the blocks
     charts: list = field(repr=False)
     # chart -> (lo, halo): the window's first cell, unwrapped, and region mask grown by a cell
     windows: dict = field(repr=False)
     # (a, N) -> _sheet_gap_keys, shared by a witness's cell scan and its extraction
     sheet_keys: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def h(self) -> float:
+        """Smallest side of the flood's cells."""
+        return float(self.h_axes.min())
 
     @property
     def total_cells(self) -> int:
@@ -225,9 +232,12 @@ def _solve_linear(mats: np.ndarray, rhs: np.ndarray):
     return np.stack([sx, sy], axis=-1), singular
 
 
-def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
+def _flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
     """Component of the base cell, labelled on one dense cell window per chart.
 
+    h holds one cell size per parameter axis; a periodic axis rounds it to
+    a whole number of cells per period.  Each kept cell records its scale,
+    sigma_max(J diag(cell size)) at its center: the width of its image.
     A window starts as the first-order box of the ball's preimage at the
     chart's first seed, plus two cells per side.  The seeds and the valid
     cells whose centers project into the ball are labelled by face
@@ -235,8 +245,9 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
     components kept; a face they touch moves out by half the window width.
     Kept cells next to an invalid cell are relocated through the
     immersion's locate hook into the chart that continues them (none:
-    BoundaryEscape), which is relabelled from all its seeds.  Rows are each
-    chart's seeds, base cell first, then window order.
+    BoundaryEscape), which is relabelled from all its seeds unless the new
+    seed's cell is already kept there.  Rows are each chart's seeds, base
+    cell first, then window order.
     """
     f = ctx.immersion
     m = f.m
@@ -245,15 +256,15 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
 
     cell_sizes, cell_counts = {}, {}
     for ci, ch in enumerate(charts):
-        size = np.full(m, h)
+        size = np.array(h, dtype=float)
         counts = np.zeros(m, dtype=np.int64)
         for d in range(m):
             span = ch.hi[d] - ch.lo[d]
             if ch.periodic[d]:
-                counts[d] = max(1, int(round(span / h)))
+                counts[d] = max(1, int(round(span / h[d])))
                 size[d] = span / counts[d]
             else:
-                counts[d] = max(1, int(np.floor(span / h + 1e-9)))
+                counts[d] = max(1, int(np.floor(span / h[d] + 1e-9)))
         cell_sizes[ci] = size
         cell_counts[ci] = counts
 
@@ -273,6 +284,15 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
         lo = np.where(periodic, lo, np.maximum(lo, -1))
         hi = np.minimum(hi, np.where(periodic, lo + counts, counts + 1))
         return lo, hi - lo
+
+    def is_kept(ci, cell):
+        """Whether chart ci's last labelling kept the (wrapped) cell."""
+        if ci not in kept:
+            return False
+        lo, window = kept[ci]
+        pos, ok = _window_pos(np.array([cell]), lo, window.shape, cell_counts[ci],
+                              charts[ci].periodic)
+        return bool(ok[0]) and bool(window[tuple(pos[0])])
 
     def label(ci):
         """Label chart ci's seeds on a window covering them, grown until no
@@ -333,8 +353,10 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
         pick = np.concatenate([lead, np.flatnonzero(rest)])
         y = y.take((np.cumsum(test) - 1).take(pick), axis=0)
         center_kept = center.take(pick, axis=0)
-        sig, _ = _singular_extremes(f.jacobian_chart(ci, center_kept))
-        block = _CellBlock(idx.take(pick, axis=0), center_kept, y[:, :m], y[:, m:], sig)
+        jac = f.jacobian_chart(ci, center_kept)
+        sig, _ = _singular_extremes(jac)
+        scale, _ = _singular_extremes(jac * size)
+        block = _CellBlock(idx.take(pick, axis=0), center_kept, y[:, :m], y[:, m:], sig, scale)
         return lo, window, center.compress(keep & near.ravel(), axis=0), block
 
     base = ctx.base_point
@@ -354,7 +376,7 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
             cell = seed_cell(tc, target.coords)
             if cell not in seeds.setdefault(tc, {}):
                 seeds[tc][cell] = target.coords
-                if tc not in todo:
+                if tc not in todo and not is_kept(tc, cell):
                     todo.append(tc)
 
     blocks = {ci: b for ci, b in sorted(blocks.items()) if len(b.idx)}
@@ -367,45 +389,59 @@ def _flood(ctx: FrameContext, h: float) -> ComponentRegion:
         halos[ci] = (lo, halo)
 
     return ComponentRegion(
-        h=h,
+        h_axes=h,
         cell_sizes=cell_sizes,
         cell_counts=cell_counts,
         blocks=blocks,
         sigma_max=max(float(b.sigma.max()) for b in blocks.values()),
+        scale_max=max(float(b.scale.max()) for b in blocks.values()),
         charts=charts,
         windows=halos,
     )
 
 
 def component(ctx: FrameContext, h: float = None) -> ComponentRegion:
-    """Connected component of the base point at grid step h.
+    """Connected component of the base point, flooded so that every cell's
+    image is at most r/32 wide: sigma_max(J diag(cell sizes)) <= r/32.
 
-    With h omitted, the step defaults to r / (32 sigma) with sigma the
-    largest Jacobian singular value over the region (re-flooded when the
-    initial base-point estimate proves too small).
+    With h omitted, axis d gets the side r / (32 s_d), the stretch s_d
+    proportional to the base point's Jacobian column |J e_d| and scaled so
+    that the base cell's image is r / (32 * 1.3) wide.  While a region
+    cell's image is wider than r/32, every side shrinks by
+    (r/32) / (1.05 * widest) and the component is re-flooded.  An explicit
+    h floods square cells of that side, refused when a cell's image is
+    wider than r/16.
     """
-    r = ctx.radius
     if h is not None:
         if h <= 0:
             raise ValueError("cell size must be positive")
-        region = _flood(ctx, h)
-        if h * region.sigma_max > r / 16.0 * (1 + 1e-6):
-            raise ValueError(
-                f"cell size too coarse: h*sigma = {h * region.sigma_max:.3e} "
-                f"exceeds r/16 = {r / 16.0:.3e}"
-            )
-        return region
+        return _fixed_flood(ctx, np.full(ctx.immersion.m, float(h)))
 
+    r = ctx.radius
     jac = ctx.immersion.jacobian(ctx.base_point)
-    sigma_max, _ = _singular_extremes(jac[None, ...])
-    sigma = float(sigma_max[0]) * 1.3
+    weight = row_norm(jac.T)
+    weight = weight / weight.max()
+    sigma, _ = _singular_extremes((jac / weight)[None, ...])
+    stretch = float(sigma[0]) * 1.3 * weight
     region = None
     for _ in range(4):
-        h_try = r / (32.0 * sigma)
-        region = _flood(ctx, h_try)
-        if region.sigma_max <= sigma * (1 + 1e-6):
+        region = _flood(ctx, r / (32.0 * stretch))
+        if region.scale_max <= r / 32.0 * (1 + 1e-6):
             break
-        sigma = region.sigma_max * 1.05
+        stretch = stretch * (1.05 * region.scale_max / (r / 32.0))
+    return region
+
+
+def _fixed_flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
+    """Component at the given per-axis cell sizes, refused (ValueError) when
+    a cell's image is wider than r/16."""
+    region = _flood(ctx, h)
+    r = ctx.radius
+    if region.scale_max > r / 16.0 * (1 + 1e-6):
+        raise ValueError(
+            f"cell size too coarse: sigma_max(J diag(h)) = {region.scale_max:.3e} "
+            f"exceeds r/16 = {r / 16.0:.3e}"
+        )
     return region
 
 
@@ -752,33 +788,34 @@ def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> np.ndarray:
     """Raveled grid-cell keys where two separated sheets coincide.
 
     Two region cells binned to the same grid cell whose heights differ by
-    more than 10 sigma times the coarser of the cell size and the node
-    spacing indicate a genuine second sheet; anything below that is within
-    what a single sloped sheet can span across one bin.
+    more than 10 times the bin's noise scale (the largest, over its cells,
+    of the cell's image width and the node spacing times sigma) indicate a
+    genuine second sheet; anything below that is within what a single
+    sloped sheet can span across one bin.
     """
     if region.total_cells == 0:
         return np.zeros(0, dtype=np.int64)
     if (a, N) in region.sheet_keys:
         return region.sheet_keys[a, N]
     delta = 2 * a / (N - 1)
-    noise_scale = max(region.h, delta)
     x_c = np.concatenate([b.x for b in region.blocks.values()])
     u_c = np.concatenate([b.u for b in region.blocks.values()])
-    sig = np.concatenate([b.sigma for b in region.blocks.values()])
+    noise = np.concatenate([np.maximum(b.scale, delta * b.sigma)
+                            for b in region.blocks.values()])
     bins = np.clip(np.rint((x_c + a) / delta), 0, N - 1).astype(np.int64)
     key = np.ravel_multi_index(tuple(bins.T), (N,) * m)
     order = np.argsort(key, kind="stable")
     key_s = key[order]
     u_s = u_c[order]
-    sig_s = sig[order]
+    noise_s = noise[order]
     boundaries = np.nonzero(np.diff(key_s))[0] + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(key_s)]])
     u_max = np.maximum.reduceat(u_s, starts, axis=0)
     u_min = np.minimum.reduceat(u_s, starts, axis=0)
-    sig_max = np.maximum.reduceat(sig_s, starts)
+    noise_max = np.maximum.reduceat(noise_s, starts)
     gaps = (u_max - u_min).max(axis=1)
-    hit = (ends - starts >= 2) & (gaps > 10.0 * noise_scale * sig_max)
+    hit = (ends - starts >= 2) & (gaps > 10.0 * noise_max)
     region.sheet_keys[a, N] = key_s[starts[hit]]
     return region.sheet_keys[a, N]
 

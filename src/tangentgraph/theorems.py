@@ -22,6 +22,7 @@ from .errors import (Inconclusive, InvalidParams, PreconditionViolated,
 from .extractor import (  # noqa: F401
     FrameContext,
     _extract_on_region,
+    _fixed_flood,
     _per_chart,
     _solve_batch,
     _solve_lattice,
@@ -150,8 +151,8 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     """Points of the rho-component stay within rho + r*lam of the base image.
 
     Every cell center of the component is checked.  Grid slack of one cell
-    (in ambient units) is allowed on top of the stated bound, since the
-    checked points are cell centers.
+    image (the region's largest sigma_max(J diag(cell size))) is allowed on
+    top of the stated bound, since the checked points are cell centers.
     """
     if not 0 < rho <= r:
         raise ValueError("need 0 < rho <= r")
@@ -160,7 +161,7 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     region = component(ctx_rho)
     fq = f.eval(q)
     bound = rho + r * lam
-    slack = region.h * region.sigma_max
+    slack = region.scale_max
     for chart, block in region.blocks.items():
         dist = np.linalg.norm(f.eval_chart(chart, block.center) - fq, axis=1)
         if (dist >= bound + slack).any():
@@ -169,12 +170,14 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
 
 
 def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> bool:
-    """The (2r/5)-component of q sits inside the r-component of each of its
-    points, compared cell-by-cell on a shared parameter grid.
+    """The (2r/5)-component of q sits inside the r-components of 12 sampled
+    points of it (INCLUSION_POINTS cell centers, evenly spaced in row
+    order), compared cell-by-cell on a shared parameter grid: each point's
+    component is flooded on q's per-axis cell sizes.
 
     Requires lam <= 1/10 and the (r, lam) graph property at q; both are
     verified and a failure raises PreconditionViolated.  Membership
-    tolerates a one-cell halo: sampled cells are compared through their
+    tolerates a one-cell halo: q's cells are compared through their
     centers.
     """
     if lam > 0.1 * (1 + 1e-12):
@@ -182,12 +185,11 @@ def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> b
     _require(FrameContext.at(f, q, r), lam, KIND_C1)
     ctx_q = FrameContext.at(f, q, 0.4 * r)
     region_q = component(ctx_q)
-    h_shared = region_q.h
     charts = np.concatenate([np.full(len(b.center), c) for c, b in region_q.blocks.items()])
     centers = np.concatenate([b.center for b in region_q.blocks.values()])
     for i in _subsample(len(centers), INCLUSION_POINTS):
         ctx_p = FrameContext.at(f, ParamPoint(int(charts[i]), centers[i]), r)
-        region_p = component(ctx_p, h=h_shared)
+        region_p = _fixed_flood(ctx_p, region_q.h_axes)
         for chart, block in region_q.blocks.items():
             inside = region_p.contains(chart, block.center)
             if not inside.all():

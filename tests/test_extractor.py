@@ -170,7 +170,7 @@ class TestRegionMembership:
     def test_torus_region_wraps_its_phi_axis(self, regions):
         _, region = regions["torus-wrap"]
         columns = np.unique(region.blocks[0].idx[:, 1])
-        assert len(columns) == region.cell_counts[0][1] == 723
+        assert len(columns) == region.cell_counts[0][1] == 145
 
     def test_seed_cell_outside_the_valid_set(self, sphere):
         # the base point lies inside chart 0's disc, its cell centre outside;
@@ -186,7 +186,92 @@ class TestRegionMembership:
         g = tg.zoo_build("graph_of", {"m": 3})
         ctx = tg.FrameContext.at(g, g.point(0, [0.5, -0.3, 0.2]), 0.3)
         region = tg.component(ctx)
-        assert region.total_cells == 419_270
+        assert region.total_cells == 397_234
+
+    def test_kept_relocated_seed_is_not_relabelled(self, monkeypatch):
+        # chart 0's escapes relocate back into chart 4 onto cells chart 4
+        # already keeps; relabelling chart 4 from them (as the flood once
+        # did) kept these same cells
+        sphere = tg.zoo_build("sphere2", {"R": 1.0})
+        ctx = tg.FrameContext.at(sphere, sphere.point(4, [0.8, 0.1]), 0.5)
+        labelled, real = [], sphere.jacobian_chart
+
+        def jacobian_chart(chart, coords):
+            # one batch over the kept cell centres per labelling
+            if np.ndim(coords) == 2:
+                labelled.append(chart)
+            return real(chart, coords)
+
+        monkeypatch.setattr(sphere, "jacobian_chart", jacobian_chart)
+        region = tg.component(ctx, h=0.01)
+        assert sorted(labelled) == [0, 4]
+        assert ({c: (len(b.idx), int(b.idx.sum())) for c, b in region.blocks.items()}
+                == {0: (6211, 1480585), 4: (3851, 970885)})
+
+
+ZOO_FLOODS = {name: tg.zoo_build(name) for name in ("circle", "torus", "sphere2", "graph_of")}
+
+
+@st.composite
+def flood_inputs(draw):
+    """(immersion, base point, radius) on the circle, the torus, the sphere
+    or the m = 2 paraboloid, the radius up to a wrap of the whole curve or
+    tube and, on the bounded paraboloid chart, clear of its edge."""
+    name = draw(st.sampled_from(sorted(ZOO_FLOODS)))
+    f = ZOO_FLOODS[name]
+    angle = st.floats(-math.pi, math.pi)
+    if name == "circle":
+        return f, f.point(0, [draw(angle)]), draw(st.floats(0.05, 1.5))
+    if name == "torus":
+        return f, f.point(0, [draw(angle), draw(angle)]), draw(st.floats(0.02, 0.9))
+    if name == "graph_of":
+        q = f.point(0, draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+        return f, q, draw(st.floats(0.02, 0.3))
+    z, lon = draw(st.floats(-1.0, 1.0)), draw(angle)
+    ring = math.sqrt(1.0 - z * z)
+    q = f.locate(np.array([ring * math.cos(lon), ring * math.sin(lon), z]))
+    return f, q, draw(st.floats(0.05, 0.7))
+
+
+class TestFloodCells:
+    @settings(max_examples=16, derandomize=True, deadline=None)
+    @given(flood_inputs())
+    def test_every_cell_image_is_at_most_r_over_32(self, case):
+        f, q, r = case
+        ctx = tg.FrameContext.at(f, q, r)
+        region = tg.component(ctx)
+        for chart, block in region.blocks.items():
+            jac = f.jacobian_chart(chart, block.center) * region.cell_sizes[chart]
+            scale = np.linalg.svd(jac, compute_uv=False)[:, 0]
+            assert scale.max() <= r / 32 * (1 + 1e-6)
+            assert block.scale == pytest.approx(scale, rel=1e-12)
+        assert region.scale_max == max(b.scale.max() for b in region.blocks.values())
+        # square cells whose base cell alone is wider than r/16
+        longest = np.linalg.norm(f.jacobian(q), axis=0).max()
+        with pytest.raises(ValueError, match="too coarse"):
+            tg.component(ctx, h=1.5 * r / (16 * longest))
+
+    @pytest.mark.parametrize("name, chart, coords, r, N, sheets", [
+        ("torus", 0, [0.3, math.pi - 1e-3], 0.2, 33, False),
+        ("torus", 0, [0.1, 0.2], 0.9, 64, True),
+        ("sphere2", 4, [0.8, 0.1], 0.3, 33, False),
+        ("circle", 0, [3.0], 0.5, 64, False),
+        ("circle", 0, [1.0], 1.2, 64, True),
+        ("graph_of", 0, [0.6, -0.4], 0.3, 33, False),
+    ])
+    def test_halved_cells_resolve_the_same_component(self, name, chart, coords, r, N,
+                                                     sheets):
+        # the default cells already resolve the component: halving every
+        # side finds the same second sheets, and no finer cell falls
+        # outside the coarser region
+        f = ZOO_FLOODS[name]
+        ctx = tg.FrameContext.at(f, f.point(chart, coords), r)
+        coarse = tg.component(ctx)
+        fine = extractor._flood(ctx, coarse.h_axes / 2)
+        for region in (coarse, fine):
+            assert extractor.second_sheet_present(region, r, N, f.m) == sheets
+        for c, block in fine.blocks.items():
+            assert coarse.contains(c, block.center).all()
 
 
 def bfs_labels(mask, seam):
