@@ -6,6 +6,7 @@ after construction, so values may be shared freely between callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .errors import PreconditionViolated
 
 SPAN_TOL = 1e-10
 GRAPH_RANK_TOL = 1e-9
+ORTHONORMAL_TOL = 1e-10  # entry-wise bound on |B^T B - I|
 
 
 def matrix_norm(a) -> float:
@@ -68,6 +70,14 @@ def inverse_batch(mats: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = -c * inv_det
     out[..., 1, 1] = a * inv_det
     return out
+
+
+def _is_orthonormal(b: np.ndarray) -> bool:
+    """Whether every entry of ``B^T B - I`` is at most ``ORTHONORMAL_TOL``
+    in absolute value (False for NaN)."""
+    gram = b.T @ b
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return bool(np.abs(gram).max(initial=0.0) <= ORTHONORMAL_TOL)
 
 
 def _singular_extremes(mat: np.ndarray):
@@ -125,12 +135,15 @@ def graph_slopes(bases: np.ndarray):
     m = bases.shape[-1]
     top = bases[:, :m, :]
     vertical = _singular_extremes(top)[1] <= GRAPH_RANK_TOL
-    top = np.where(vertical[:, None, None], np.eye(m), top)  # keeps inv defined
+    any_vertical = vertical.any()
+    if any_vertical:
+        top = np.where(vertical[:, None, None], np.eye(m), top)  # keeps inv defined
     inv, bottom = inverse_batch(top), bases[:, m:, :]
     slope = bottom[:, :, :1] * inv[:, None, 0, :]
     for j in range(1, m):
         slope += bottom[:, :, j:j + 1] * inv[:, None, j, :]
-    slope[vertical] = np.nan
+    if any_vertical:
+        slope[vertical] = np.nan
     return slope, vertical
 
 
@@ -148,8 +161,7 @@ class Subspace:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] < b.shape[1] or b.shape[1] < 1:
             raise ValueError(f"basis must be n x m with n >= m >= 1, got {b.shape}")
-        gram = b.T @ b
-        if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-10):
+        if not _is_orthonormal(b):
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -169,11 +181,6 @@ class Subspace:
         if v.shape[0] < v.shape[1] or _singular_extremes(v)[1] <= 1e-12:
             raise ValueError("spanning vectors are linearly dependent")
         return cls(_orthonormalize_batch(v))
-
-    def distance_of(self, v) -> float:
-        """Euclidean distance from a vector to the span."""
-        v = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(v - self.basis @ (self.basis.T @ v)))
 
     def max_principal_angle(self, other: "Subspace") -> float:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
@@ -206,7 +213,7 @@ class Isometry:
         n = r.shape[0]
         if r.shape != (n, n) or t.shape != (n,):
             raise ValueError("rotation/translation shapes do not agree")
-        if not np.allclose(r.T @ r, np.eye(n), atol=1e-10):
+        if not _is_orthonormal(r):
             raise ValueError("rotation is not orthogonal")
         if np.linalg.det(r) < 0:
             raise ValueError("rotation has negative determinant")
@@ -346,7 +353,9 @@ def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult
     ``|v_j - (e_j, 0)| <= L / (3 sqrt(m))`` for L <= 1; then the subspace is
     a graph with aggregate slope norm at most L.  The matrix itself is read
     off the subspace (the probes only validate the hypothesis), so nearly
-    coincident probes cannot make the computation ill conditioned.
+    coincident probes cannot make the computation ill conditioned.  All
+    probes are checked together; the lowest failing probe is reported, its
+    distance off the subspace before its distance from the axis point.
     """
     m, n = e.dim, e.ambient_dim
     if L > 1.0 + 1e-12:
@@ -354,19 +363,25 @@ def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult
     probes = [np.asarray(v, dtype=float).reshape(-1) for v in probes]
     if len(probes) != m:
         raise ValueError(f"expected {m} probes, got {len(probes)}")
-    budget = L / (3.0 * np.sqrt(m))
-    for j, v in enumerate(probes):
-        if v.shape[0] != n:
-            raise ValueError(f"probe {j} has wrong ambient dimension")
-        off = e.distance_of(v)
-        if off > SPAN_TOL:
+    # Probes before the first one of the wrong dimension are checked first.
+    good = next((j for j, v in enumerate(probes) if v.shape[0] != n), m)
+    v = np.array(probes[:good]).reshape(good, n)
+    off = row_norm(v - (v @ e.basis) @ e.basis.T)
+    v.flat[::n + 1] -= 1.0  # v_j - e_j, in place: v is a fresh stack
+    far = row_norm(v)
+    budget = L / (3.0 * math.sqrt(m))
+    bad_off = off > SPAN_TOL
+    bad = bad_off | (far > budget * (1 + 1e-12) + 1e-15)
+    if bad.any():
+        j = int(bad.argmax())
+        if bad_off[j]:
             raise PreconditionViolated(
-                f"probe {j} is off the subspace (distance {off:.3e})", index=j)
-        far = np.linalg.norm(v - np.eye(n)[j])
-        if far > budget * (1 + 1e-12) + 1e-15:
-            raise PreconditionViolated(
-                f"probe {j} too far from its axis point: {far:.6e} > {budget:.6e}",
-                index=j)
+                f"probe {j} is off the subspace (distance {off[j]:.3e})", index=j)
+        raise PreconditionViolated(
+            f"probe {j} too far from its axis point: {far[j]:.6e} > {budget:.6e}",
+            index=j)
+    if good < m:
+        raise ValueError(f"probe {good} has wrong ambient dimension")
     result = subspace_graph_matrix(e)
     if result is None:
         # Unreachable when the hypothesis holds; flag the construction.

@@ -308,8 +308,7 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     probes = np.einsum("bnl,bjl->bjn", framed, coef) / rho_eff
 
     per_node = []
-    for i, idx in enumerate(base_idx):
-        x = idx * delta
+    for i, x in enumerate(base_idx * delta):
         try:
             cert = graph_matrix_from_probes(Subspace(framed[i]), probes[i], bound_l)
         except PreconditionViolated as exc:

@@ -323,13 +323,14 @@ def _build_torus(params) -> ParamImmersion:
     def jac(x):
         x = np.asarray(x, dtype=float)
         th, ph = x[..., 0], x[..., 1]
-        w = major + minor * np.cos(ph)
+        sin_th, cos_th, sin_ph, cos_ph = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        w = major + minor * cos_ph
         out = np.zeros(x.shape[:-1] + (3, 2))
-        out[..., 0, 0] = -w * np.sin(th)
-        out[..., 1, 0] = w * np.cos(th)
-        out[..., 0, 1] = -minor * np.sin(ph) * np.cos(th)
-        out[..., 1, 1] = -minor * np.sin(ph) * np.sin(th)
-        out[..., 2, 1] = minor * np.cos(ph)
+        out[..., 0, 0] = -w * sin_th
+        out[..., 1, 0] = w * cos_th
+        out[..., 0, 1] = -minor * sin_ph * cos_th
+        out[..., 1, 1] = -minor * sin_ph * sin_th
+        out[..., 2, 1] = minor * cos_ph
         return out
 
     chart = Chart(

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,7 @@ from tangentgraph import (
 from tangentgraph.extractor import _solve_linear
 from tangentgraph.geometry import (
     GRAPH_RANK_TOL,
+    SPAN_TOL,
     _orthonormalize_batch,
     _singular_extremes,
     graph_slopes,
@@ -73,6 +75,18 @@ class TestSubspace:
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("basis", [
+        [[1.000004], [0.0]],  # inside numpy's default relative tolerance
+        [[1.0, 0.0], [0.0, 1.0], [0.0, 1e-5]],
+        [[1.0, 2e-10], [0.0, 1.0], [0.0, 0.0]],
+    ])
+    def test_orthonormality_is_checked_entrywise_to_1e_10(self, basis):
+        with pytest.raises(ValueError):
+            Subspace(np.array(basis))
+
+    def test_orthonormality_accepts_entries_within_1e_10(self):
+        Subspace(np.array([[1.0, 5e-11], [0.0, 1.0], [0.0, 0.0]]))
 
     def test_span_equality_under_orthogonal_remix(self):
         rng = np.random.default_rng(3)
@@ -134,6 +148,11 @@ class TestIsometry:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             Isometry(np.diag([1.0, -1.0]), np.zeros(2))
+
+    def test_rejects_a_rotation_off_by_4e_6(self):
+        # det 1.000012; numpy's default allclose would have passed it
+        with pytest.raises(ValueError):
+            Isometry(np.diag([1.000004] * 3), np.zeros(3))
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
@@ -245,6 +264,76 @@ class TestSubspaceGraphMatrix:
         assert subspace_graph_matrix(e) is None
 
 
+def _reference_probe_checks(e, probes, L):
+    """The per-probe hypothesis check, one probe at a time: the first
+    failure raises, a probe's distance off the subspace before its distance
+    from the axis point."""
+    m, n = e.dim, e.ambient_dim
+    probes = [np.asarray(v, dtype=float).reshape(-1) for v in probes]
+    if len(probes) != m:
+        raise ValueError(f"expected {m} probes, got {len(probes)}")
+    budget = L / (3.0 * np.sqrt(m))
+    for j, v in enumerate(probes):
+        if v.shape[0] != n:
+            raise ValueError(f"probe {j} has wrong ambient dimension")
+        off = np.linalg.norm(v - e.basis @ (e.basis.T @ v))
+        if off > SPAN_TOL:
+            raise PreconditionViolated(
+                f"probe {j} is off the subspace (distance {off:.3e})", index=j)
+        far = np.linalg.norm(v - np.eye(n)[j])
+        if far > budget * (1 + 1e-12) + 1e-15:
+            raise PreconditionViolated(
+                f"probe {j} too far from its axis point: {far:.6e} > {budget:.6e}",
+                index=j)
+
+
+def _probe_outcome(check, e, probes, L):
+    """(exception type, index, message prefix), or None when accepted."""
+    try:
+        check(e, probes, L)
+    except PreconditionViolated as exc:
+        return "PreconditionViolated", exc.index, re.match(r"probe \d+ [a-z ]+", str(exc))[0]
+    except ValueError as exc:
+        return "ValueError", None, str(exc)
+    return None
+
+
+@st.composite
+def probe_cases(draw):
+    """A graph subspace, valid probes, then some probes moved off the
+    subspace or off their axes by amounts clear of both tolerances, and
+    possibly a wrong probe count or one probe of the wrong dimension."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = m + k
+    L = draw(st.floats(0.05, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((k, m))
+    a *= L / (8.0 * math.sqrt(m)) / max(matrix_norm(a), 1e-12) * rng.uniform(0.2, 1.0)
+    e = Subspace.from_span(np.vstack([np.eye(m), a]))
+    budget = L / (3.0 * math.sqrt(m))
+    probes = []
+    for j in range(m):
+        w = np.eye(m)[j] + rng.uniform(-1.0, 1.0, m) * L / (16.0 * m)
+        if draw(st.booleans()):  # off its axis, along the subspace
+            u = rng.standard_normal(m)
+            w = np.eye(m)[j] + 2.0 * budget * u / np.linalg.norm(u)
+        v = np.concatenate([w, a @ w])
+        if draw(st.booleans()):  # off the subspace, along a normal
+            normal = rng.standard_normal(n)
+            normal -= e.basis @ (e.basis.T @ normal)
+            v = v + draw(st.sampled_from([1e-9, 1e-6, 1e-3])) * normal / np.linalg.norm(normal)
+        probes.append(v)
+    shape = draw(st.sampled_from(["ok", "ok", "fewer", "more", "dimension"]))
+    if shape == "fewer":
+        probes = probes[:-1]
+    elif shape == "more":
+        probes = probes + [probes[-1]]
+    elif shape == "dimension":
+        j = draw(st.integers(0, m - 1))
+        probes[j] = np.append(probes[j], 0.0) if draw(st.booleans()) else probes[j][:-1]
+    return e, probes, L
+
+
 class TestGraphMatrixFromProbes:
     def test_exact_axis_probes_give_zero(self):
         for m, k in [(1, 1), (2, 2), (3, 1)]:
@@ -279,6 +368,29 @@ class TestGraphMatrixFromProbes:
         v = np.array([1.0, 0.9]) / np.linalg.norm([1.0, 0.9])
         with pytest.raises(PreconditionViolated):
             graph_matrix_from_probes(e, [v], 0.5)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(probe_cases())
+    def test_probe_checks_match_the_per_probe_reference(self, case):
+        e, probes, L = case
+        expected = _probe_outcome(_reference_probe_checks, e, probes, L)
+        assert _probe_outcome(graph_matrix_from_probes, e, probes, L) == expected
+        if expected is None:
+            assert graph_matrix_from_probes(e, probes, L).norm <= L
+
+    def test_lowest_failing_probe_wins(self):
+        e = Subspace(np.eye(4)[:, :2])
+        off_axis, off_span = np.array([0.5, 1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.1, 0.0])
+        for probes, index, prefix in [
+            ([off_span, off_axis], 0, "probe 0 is off the subspace"),
+            ([off_axis, off_span], 0, "probe 0 too far from its axis point"),
+            ([np.eye(4)[0], off_span + off_axis - np.eye(4)[0]], 1,
+             "probe 1 is off the subspace"),
+        ]:
+            with pytest.raises(PreconditionViolated) as err:
+                graph_matrix_from_probes(e, probes, 0.5)
+            assert err.value.index == index
+            assert str(err.value).startswith(prefix)
 
     def test_matches_rank_solve_oracle_randomized(self):
         # ground-truth slope matrices reconstructed through valid probes
@@ -443,6 +555,34 @@ class TestEntrywiseKernels:
             slope, vertical = graph_slopes(basis)
         assert vertical.tolist() == [True]
         assert np.isnan(slope).all()
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_slopes_do_not_depend_on_vertical_rows_in_the_batch(self, m):
+        # vertical spans hold a vector with zero top block; regular rows
+        # keep their bits whether or not vertical rows share the batch
+        rng = np.random.default_rng(m)
+        k = 2
+        regular = np.stack([
+            Subspace.from_span(np.vstack([np.eye(m) + 0.3 * rng.standard_normal((m, m)),
+                                          rng.standard_normal((k, m))])).basis
+            for _ in range(40)])
+        vertical = np.stack([
+            Subspace.from_span(np.column_stack([
+                rng.standard_normal((m + k, m - 1)),
+                np.concatenate([np.zeros(m), rng.standard_normal(k)])])).basis
+            for _ in range(15)])
+        is_vertical = np.zeros(55, dtype=bool)
+        is_vertical[rng.choice(55, 15, replace=False)] = True
+        mixed = np.empty((55, m + k, m))
+        mixed[is_vertical], mixed[~is_vertical] = vertical, regular
+        alone, alone_vertical = graph_slopes(regular)
+        slope, flags = graph_slopes(mixed)
+        assert not alone_vertical.any()
+        assert np.array_equal(flags, is_vertical)
+        assert np.isnan(slope[is_vertical]).all()
+        assert not np.isnan(slope[~is_vertical]).any()
+        assert np.array_equal(slope[~is_vertical], alone)
 
 
 class TestSmallMatrixHelpers:

@@ -103,6 +103,20 @@ class TestEntries:
         p = torus.point(0, [0.0, math.pi])
         assert np.allclose(torus.eval(p), [1.5, 0.0, 0.0], atol=1e-12)
 
+    def test_torus_jacobian_keeps_each_entry_expression(self, torus):
+        # one sine and cosine per angle, shared by the entries: the bits of
+        # each entry written out on its own
+        x = np.random.default_rng(4).uniform(-math.pi, math.pi, (50, 2))
+        th, ph = x[:, 0], x[:, 1]
+        w = 2.0 + 0.5 * np.cos(ph)
+        expected = np.zeros((50, 3, 2))
+        expected[:, 0, 0] = -w * np.sin(th)
+        expected[:, 1, 0] = w * np.cos(th)
+        expected[:, 0, 1] = -0.5 * np.sin(ph) * np.cos(th)
+        expected[:, 1, 1] = -0.5 * np.sin(ph) * np.sin(th)
+        expected[:, 2, 1] = 0.5 * np.cos(ph)
+        assert np.array_equal(torus.jacobian_chart(0, x), expected)
+
     def test_helix_pitch(self):
         h = tg.zoo_build("helix", {"pitch": 0.5})
         assert np.allclose(h.eval(h.point(0, [2.0])),
