@@ -30,7 +30,6 @@ from .theorems import (
     check_distance_bound,
     check_enlargement,
     check_inclusion,
-    lambda_cap,
     verify_main_theorem,
 )
 from .zoo import ZOO, ParamPoint, zoo_build
@@ -158,10 +157,22 @@ def _merge_config(args) -> dict:
     return cfg
 
 
+def _required(cfg, key, message, choices=None):
+    """cfg[key], refused with message when unset (or not among choices)."""
+    value = cfg.get(key)
+    if value is None or value == "" or (choices is not None and value not in choices):
+        raise InvalidParams(message)
+    return value
+
+
+def _given(cfg, key, cast, keyword=None) -> dict:
+    """{keyword: cast(cfg[key])} when the field is set, else {}: an unset
+    field falls to the library's own default."""
+    return {} if cfg.get(key) is None else {keyword or key: cast(cfg[key])}
+
+
 def _build_immersion(cfg):
-    name = cfg.get("immersion")
-    if not name:
-        raise InvalidParams("an --immersion entry name is required")
+    name = _required(cfg, "immersion", "an --immersion entry name is required")
     return zoo_build(name, cfg.get("params", {}))
 
 
@@ -211,10 +222,9 @@ def _cmd_zoo(cfg) -> int:
 
 def _cmd_extract(cfg) -> int:
     immersion = _build_immersion(cfg)
-    if cfg.get("r") is None:
-        raise InvalidParams("extract requires --r")
+    r = float(_required(cfg, "r", "extract requires --r"))
     q = _parse_q(cfg, immersion)
-    ctx = FrameContext.at(immersion, q, float(cfg["r"]))
+    ctx = FrameContext.at(immersion, q, r)
     sample = extract(ctx, int(cfg.get("grid", 256)), cfg.get("cell"))
     out = cfg.get("out") or "graph_sample.csv"
     sample.to_csv(out)
@@ -226,19 +236,16 @@ def _cmd_extract(cfg) -> int:
 
 def _cmd_radii(cfg) -> int:
     immersion = _build_immersion(cfg)
-    if cfg.get("kind") not in ("c0", "c1"):
-        raise InvalidParams("radii requires --kind c0|c1")
-    if cfg.get("lam") is None:
-        raise InvalidParams("radii requires --lambda")
-    kind = KIND_C0 if cfg["kind"] == "c0" else KIND_C1
+    kind = _required(cfg, "kind", "radii requires --kind c0|c1", ("c0", "c1"))
+    lam = float(_required(cfg, "lam", "radii requires --lambda"))
     Q = _sample(cfg, immersion)
     report = max_radius(
         immersion,
-        float(cfg["lam"]),
-        kind,
+        lam,
+        KIND_C0 if kind == "c0" else KIND_C1,
         Q,
-        tol=float(cfg.get("tol", 1e-3)),
         N=cfg.get("grid"),
+        **_given(cfg, "tol", float),
     )
     _emit(cfg, report.to_dict())
     return EXIT_OK
@@ -247,10 +254,7 @@ def _cmd_radii(cfg) -> int:
 def _cmd_verify(cfg) -> int:
     immersion = _build_immersion(cfg)
     statement = cfg["statement"]
-    lam = cfg.get("lam")
-    if lam is None:
-        raise InvalidParams("verify requires --lambda")
-    lam = float(lam)
+    lam = float(_required(cfg, "lam", "verify requires --lambda"))
     grid = cfg.get("grid")
     reads = _VERIFY_READS[statement]
     if statement == "enlargement" and cfg.get("r") is not None:
@@ -262,9 +266,7 @@ def _cmd_verify(cfg) -> int:
 
     if statement == "theorem":
         Q = _sample(cfg, immersion)
-        verdict = verify_main_theorem(
-            immersion, lam, Q, tol=float(cfg.get("tol", 1e-3)), N=grid,
-        )
+        verdict = verify_main_theorem(immersion, lam, Q, N=grid, **_given(cfg, "tol", float))
         _emit(cfg, verdict.to_dict())
         return EXIT_OK if verdict.holds else EXIT_FAIL
 
@@ -272,8 +274,8 @@ def _cmd_verify(cfg) -> int:
         Q = _sample(cfg, immersion)
         r = cfg.get("r")
         if r is None:
-            base = max_radius(immersion, lam, KIND_C1, Q,
-                              tol=float(cfg.get("tol", 1e-3)), N=grid)
+            base = max_radius(immersion, lam, KIND_C1, Q, N=grid,
+                              **_given(cfg, "tol", float))
             if base.status != "bracketed":
                 raise Inconclusive(f"no usable base radius ({base.status})")
             r = 0.9 * base.r_lo
@@ -282,9 +284,7 @@ def _cmd_verify(cfg) -> int:
         return EXIT_OK if holds else EXIT_FAIL
 
     q = _parse_q(cfg, immersion)
-    if cfg.get("r") is None:
-        raise InvalidParams(f"{statement} requires --r")
-    r = float(cfg["r"])
+    r = float(_required(cfg, "r", f"{statement} requires --r"))
     if statement == "distance":
         rho = r if cfg.get("rho") is None else float(cfg["rho"])
         holds = check_distance_bound(immersion, q, rho, r, lam, N=grid)
@@ -304,13 +304,9 @@ def _cmd_verify(cfg) -> int:
 
 
 def _cmd_counterexample(cfg) -> int:
-    for key in ("eps", "delta", "r"):
-        if cfg.get(key) is None:
-            raise InvalidParams(f"counterexample requires --{key}")
-    report = analyze_counterexample(
-        float(cfg["eps"]), float(cfg["delta"]), float(cfg["r"]),
-        angle_grid=int(cfg.get("angles", 4096)),
-    )
+    eps, delta, r = (float(_required(cfg, key, f"counterexample requires --{key}"))
+                     for key in ("eps", "delta", "r"))
+    report = analyze_counterexample(eps, delta, r, **_given(cfg, "angles", int, "angle_grid"))
     _emit(cfg, report.to_dict())
     return EXIT_OK if report.verdict else EXIT_FAIL
 

@@ -111,6 +111,14 @@ def _flat_index(pos, shape) -> np.ndarray:
     return flat
 
 
+def _window_read(mask, lo, counts, periodic, cells) -> np.ndarray:
+    """mask, a window at lo, read at cell index rows (periodic axes taken
+    mod counts); False for rows outside the window."""
+    pos, ok = _window_pos(cells, lo, mask.shape, counts, periodic)
+    # a row outside the window reads a clipped cell, then False
+    return mask.take(_flat_index(pos, mask.shape), mode="clip") & ok
+
+
 def _grid_rows(axes) -> np.ndarray:
     """Rows of the grid spanned by per-axis values, in row-major order."""
     out = np.empty(tuple(map(len, axes)) + (len(axes),), dtype=np.result_type(*axes))
@@ -151,7 +159,6 @@ class ComponentRegion:
     cell_sizes: dict            # chart -> (m,) per-axis sizes
     cell_counts: dict           # chart -> (m,) int cells per axis
     blocks: dict                # chart -> _CellBlock
-    sigma_max: float
     scale_max: float            # largest cell scale over the blocks
     charts: list = field(repr=False)
     # chart -> (lo, halo): the window's first cell, unwrapped, and region mask grown by a cell
@@ -176,10 +183,8 @@ class ComponentRegion:
             return np.zeros(len(coords), dtype=bool)
         lo, halo = self.windows[chart]
         ch = self.charts[chart]
-        pos, ok = _window_pos(_cell_index(ch, self.cell_sizes[chart], coords), lo,
-                              halo.shape, self.cell_counts[chart], ch.periodic)
-        # a row outside the window reads a clipped cell, then False
-        return halo.take(_flat_index(pos, halo.shape), mode="clip") & ok
+        return _window_read(halo, lo, self.cell_counts[chart], ch.periodic,
+                            _cell_index(ch, self.cell_sizes[chart], coords))
 
 
 def _chart_slices(charts):
@@ -287,12 +292,8 @@ def _flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
 
     def is_kept(ci, cell):
         """Whether chart ci's last labelling kept the (wrapped) cell."""
-        if ci not in kept:
-            return False
-        lo, window = kept[ci]
-        pos, ok = _window_pos(np.array([cell]), lo, window.shape, cell_counts[ci],
-                              charts[ci].periodic)
-        return bool(ok[0]) and bool(window[tuple(pos[0])])
+        return ci in kept and bool(_window_read(kept[ci][1], kept[ci][0], cell_counts[ci],
+                                                charts[ci].periodic, np.array([cell]))[0])
 
     def label(ci):
         """Label chart ci's seeds on a window covering them, grown until no
@@ -341,7 +342,7 @@ def _flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
             step = np.maximum(1, shape // 2)
             lo, shape = bounds(ci, lo - step * touch[:, 0], lo + shape + step * touch[:, 1])
         if ci == base.chart and not ball[at[0]]:
-            raise GeometryError("base cell rejected; radius too small for the grid step")
+            raise ValueError("cell size too coarse: the base cell's center leaves the ball")
 
         invalid = ~valid.reshape(shape)
         near = np.zeros(shape, dtype=bool)
@@ -393,14 +394,13 @@ def _flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
         cell_sizes=cell_sizes,
         cell_counts=cell_counts,
         blocks=blocks,
-        sigma_max=max(float(b.sigma.max()) for b in blocks.values()),
         scale_max=max(float(b.scale.max()) for b in blocks.values()),
         charts=charts,
         windows=halos,
     )
 
 
-def component(ctx: FrameContext, h: float = None) -> ComponentRegion:
+def component(ctx: FrameContext, h=None) -> ComponentRegion:
     """Connected component of the base point, flooded so that every cell's
     image is at most r/32 wide: sigma_max(J diag(cell sizes)) <= r/32.
 
@@ -409,15 +409,23 @@ def component(ctx: FrameContext, h: float = None) -> ComponentRegion:
     that the base cell's image is r / (32 * 1.3) wide.  While a region
     cell's image is wider than r/32, every side shrinks by
     (r/32) / (1.05 * widest) and the component is re-flooded.  An explicit
-    h floods square cells of that side, refused when a cell's image is
-    wider than r/16.
+    h, one side for every axis or one per axis (a region's h_axes), is
+    flooded as given and refused (ValueError) when a cell's image is wider
+    than r/16.
     """
-    if h is not None:
-        if h <= 0:
-            raise ValueError("cell size must be positive")
-        return _fixed_flood(ctx, np.full(ctx.immersion.m, float(h)))
-
     r = ctx.radius
+    if h is not None:
+        h = np.full(ctx.immersion.m, h, dtype=float)
+        if not (h > 0).all():
+            raise ValueError("cell size must be positive")
+        region = _flood(ctx, h)
+        if region.scale_max > r / 16.0 * (1 + 1e-6):
+            raise ValueError(
+                f"cell size too coarse: sigma_max(J diag(h)) = {region.scale_max:.3e} "
+                f"exceeds r/16 = {r / 16.0:.3e}"
+            )
+        return region
+
     jac = ctx.immersion.jacobian(ctx.base_point)
     weight = row_norm(jac.T)
     weight = weight / weight.max()
@@ -429,19 +437,6 @@ def component(ctx: FrameContext, h: float = None) -> ComponentRegion:
         if region.scale_max <= r / 32.0 * (1 + 1e-6):
             break
         stretch = stretch * (1.05 * region.scale_max / (r / 32.0))
-    return region
-
-
-def _fixed_flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
-    """Component at the given per-axis cell sizes, refused (ValueError) when
-    a cell's image is wider than r/16."""
-    region = _flood(ctx, h)
-    r = ctx.radius
-    if region.scale_max > r / 16.0 * (1 + 1e-6):
-        raise ValueError(
-            f"cell size too coarse: sigma_max(J diag(h)) = {region.scale_max:.3e} "
-            f"exceeds r/16 = {r / 16.0:.3e}"
-        )
     return region
 
 
@@ -631,16 +626,17 @@ class GraphSample:
             + [f"u{i + 1}" for i in range(self.k)]
             + ["status", "du_norm"]
         )
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for i in range(len(self.coords)):
-                row = (
-                    [f"{v:.17g}" for v in self.coords[i]]
-                    + [f"{v:.17g}" for v in self.heights[i]]
-                    + [STATUS_NAMES[self.status[i]], f"{self.du_norm[i]:.17g}"]
-                )
-                writer.writerow(row)
+        _write_csv(path, header, ([*x, *u, STATUS_NAMES[s], d] for x, u, s, d in
+                                 zip(self.coords, self.heights, self.status, self.du_norm)))
+
+
+def _write_csv(path, header, rows):
+    """CSV of a header and rows, each number written as ``.17g``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else f"{v:.17g}" for v in row])
 
 
 @dataclass

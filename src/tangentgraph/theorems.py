@@ -22,15 +22,16 @@ from .errors import (Inconclusive, InvalidParams, PreconditionViolated,
 from .extractor import (  # noqa: F401
     FrameContext,
     _extract_on_region,
-    _fixed_flood,
+    _grid_rows,
     _per_chart,
     _solve_batch,
     _solve_lattice,
+    _write_csv,
     component,
     norms,
 )
 from .geometry import (Subspace, _orthonormalize_batch, _singular_extremes,
-                       graph_matrix_from_probes, left_product)
+                       graph_matrix_from_probes, left_product, row_norm)
 from .radius import (
     KIND_C0,
     KIND_C1,
@@ -51,6 +52,14 @@ def lambda_cap(m: int) -> float:
     if m < 1:
         raise ValueError("intrinsic dimension must be at least 1")
     return 1e-5 / (m * m)
+
+
+def _height_cap(m: int, lam: float) -> float:
+    """lambda_cap(m), refused (PreconditionViolated) when lam exceeds it."""
+    cap = lambda_cap(m)
+    if lam > cap * (1 + 1e-12):
+        raise PreconditionViolated(f"height bound {lam:.3e} exceeds the threshold {cap:.3e}")
+    return cap
 
 
 @dataclass
@@ -82,11 +91,7 @@ def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
     Holds when the scaled slope radius reaches the height radius up to the
     combined bracket widths.  Unbounded sentinels compare as infinite.
     """
-    cap = lambda_cap(f.m)
-    if lam > cap * (1 + 1e-12):
-        raise PreconditionViolated(
-            f"height bound {lam:.3e} exceeds the threshold {cap:.3e}"
-        )
+    cap = _height_cap(f.m, lam)
     r0 = max_radius(f, lam, KIND_C0, Q, tol=tol, N=N)
     r1 = max_radius(f, lam / cap, KIND_C1, Q, tol=tol, N=N)
     if r1.unbounded:
@@ -156,9 +161,9 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     """
     if not 0 < rho <= r:
         raise ValueError("need 0 < rho <= r")
-    _require(FrameContext.at(f, q, r), lam, KIND_C0, N)
-    ctx_rho = FrameContext.at(f, q, rho)
-    region = component(ctx_rho)
+    ctx = FrameContext.at(f, q, r)
+    _require(ctx, lam, KIND_C0, N)
+    region = component(FrameContext(f, q, ctx.iso, float(rho)))
     fq = f.eval(q)
     bound = rho + r * lam
     slack = region.scale_max
@@ -182,14 +187,14 @@ def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> b
     """
     if lam > 0.1 * (1 + 1e-12):
         raise PreconditionViolated(f"slope bound {lam:.6g} exceeds 1/10")
-    _require(FrameContext.at(f, q, r), lam, KIND_C1)
-    ctx_q = FrameContext.at(f, q, 0.4 * r)
-    region_q = component(ctx_q)
+    ctx = FrameContext.at(f, q, r)
+    _require(ctx, lam, KIND_C1)
+    region_q = component(FrameContext(f, q, ctx.iso, 0.4 * r))
     charts = np.concatenate([np.full(len(b.center), c) for c, b in region_q.blocks.items()])
     centers = np.concatenate([b.center for b in region_q.blocks.values()])
     for i in _subsample(len(centers), INCLUSION_POINTS):
         ctx_p = FrameContext.at(f, ParamPoint(int(charts[i]), centers[i]), r)
-        region_p = _fixed_flood(ctx_p, region_q.h_axes)
+        region_p = component(ctx_p, region_q.h_axes)
         for chart, block in region_q.blocks.items():
             inside = region_p.contains(chart, block.center)
             if not inside.all():
@@ -223,16 +228,9 @@ class CertifiedDuBound:
         }
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            m = len(self.per_node[0][0])
-            writer.writerow([f"x{i + 1}" for i in range(m)]
-                            + ["certified_bound", "actual_lip"])
-            for x, cert, act in self.per_node:
-                writer.writerow([f"{v:.17g}" for v in x]
-                                + [f"{cert:.17g}", f"{act:.17g}"])
+        m = len(self.per_node[0][0])
+        _write_csv(path, [f"x{i + 1}" for i in range(m)] + ["certified_bound", "actual_lip"],
+                  ([*x, cert, act] for x, cert, act in self.per_node))
 
 
 def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
@@ -255,11 +253,7 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     probe hypothesis is reported with its node and axis.
     """
     m = f.m
-    cap = lambda_cap(m)
-    if lam > cap * (1 + 1e-12):
-        raise PreconditionViolated(
-            f"height bound {lam:.3e} exceeds the threshold {cap:.3e}"
-        )
+    cap = _height_cap(m, lam)
     s = int(nodes_per_rho)
     if s < 2:
         raise ValueError("need at least 2 nodes per rho")
@@ -272,10 +266,8 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     bound_l = (8.0 ** -3) * m ** -1.5 * lam / cap
 
     # Integer node lattice: base nodes inside B_rho plus their axis shifts.
-    ranges = [np.arange(-(s - 1), s) for _ in range(m)]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    base_idx = np.stack([g.ravel() for g in mesh], axis=-1)
-    base_idx = base_idx[np.linalg.norm(base_idx * delta, axis=1) < rho]
+    base_idx = _grid_rows([np.arange(-(s - 1), s)] * m)
+    base_idx = base_idx[row_norm(base_idx * delta) < rho]
     shifts = (s * np.eye(m, dtype=int))[None, :, :]
     probe_idx = (base_idx[:, None, :] + shifts).reshape(-1, m)
     all_idx = np.unique(np.concatenate([base_idx, probe_idx]), axis=0)

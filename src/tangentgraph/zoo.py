@@ -3,12 +3,14 @@
 The manifold is represented purely through charts plus a deterministic
 sampler; every construction downstream is local, so no global topology
 data is kept.  Chart ``eval``/``jacobian`` callables are vectorized over
-leading axes: coords of shape (..., m) map to (..., n) and (..., n, m).
+leading axes: float coords of shape (..., m) map to (..., n) and
+(..., n, m).  ``ParamImmersion`` converts coords once, where they enter.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,7 +101,7 @@ class ParamImmersion:
     n: int
     charts: list
     locate: callable = None  # ambient point -> ParamPoint in another chart
-    _bbox_cache: float = field(default=None, repr=False)
+    _bbox_cache: float = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -120,9 +122,11 @@ class ParamImmersion:
         return np.asarray(self.charts[p.chart].jacobian(p.coords), dtype=float)
 
     def eval_chart(self, chart: int, coords) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
         return np.asarray(self.charts[chart].eval(coords), dtype=float)
 
     def jacobian_chart(self, chart: int, coords) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
         return np.asarray(self.charts[chart].jacobian(coords), dtype=float)
 
     def sample_points(self, per_axis: int) -> list:
@@ -184,6 +188,7 @@ class ZooEntry:
     name: str
     defaults: dict
     builder: callable
+    callables: tuple = ()  # optional parameters that must be callable
 
 
 def _require(cond: bool, message: str):
@@ -191,8 +196,22 @@ def _require(cond: bool, message: str):
         raise InvalidParams(message)
 
 
+def _integer(params, key) -> int:
+    """params[key] as an int, refused unless it is a whole number."""
+    value = params[key]
+    _require(isinstance(value, numbers.Real) and float(value).is_integer(),
+             f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _cube_chart(m: int, half: float, window: float, ev, jac) -> Chart:
+    """The box [-half, half]^m, sampled on [-window, window]^m."""
+    return Chart(lo=-half * np.ones(m), hi=half * np.ones(m), eval=ev, jacobian=jac,
+                 sample_lo=-window * np.ones(m), sample_hi=window * np.ones(m))
+
+
 def _build_flat(params) -> ParamImmersion:
-    m, k = int(params["m"]), int(params["k"])
+    m, k = _integer(params, "m"), _integer(params, "k")
     extent = float(params["extent"])
     _require(m >= 1 and k >= 1, "flat needs m >= 1 and k >= 1")
     _require(m <= 4, "flat supports m <= 4")
@@ -200,7 +219,6 @@ def _build_flat(params) -> ParamImmersion:
     n = m + k
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (n,))
         out[..., :m] = x
         return out
@@ -209,17 +227,9 @@ def _build_flat(params) -> ParamImmersion:
     jac_block[:m, :m] = np.eye(m)
 
     def jac(x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(jac_block, x.shape[:-1] + (n, m)).copy()
 
-    chart = Chart(
-        lo=-extent * np.ones(m),
-        hi=extent * np.ones(m),
-        eval=ev,
-        jacobian=jac,
-        sample_lo=-np.ones(m),
-        sample_hi=np.ones(m),
-    )
+    chart = _cube_chart(m, extent, 1.0, ev, jac)
     return ParamImmersion("flat", dict(params), m, n, [chart])
 
 
@@ -228,11 +238,11 @@ def _build_circle(params) -> ParamImmersion:
     _require(radius > 0, "circle needs R > 0")
 
     def ev(x):
-        t = np.asarray(x, dtype=float)[..., 0]
+        t = x[..., 0]
         return np.stack([radius * np.cos(t), radius * np.sin(t)], axis=-1)
 
     def jac(x):
-        t = np.asarray(x, dtype=float)[..., 0]
+        t = x[..., 0]
         return np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=-1)[..., None]
 
     chart = Chart(
@@ -257,7 +267,6 @@ def _build_sphere2(params) -> ParamImmersion:
         j, l = (axis + 1) % 3, (axis + 2) % 3
 
         def ev(x):
-            x = np.asarray(x, dtype=float)
             a, b = x[..., 0], x[..., 1]
             out = np.zeros(x.shape[:-1] + (3,))
             out[..., j] = a
@@ -266,7 +275,6 @@ def _build_sphere2(params) -> ParamImmersion:
             return out
 
         def jac(x):
-            x = np.asarray(x, dtype=float)
             a, b = x[..., 0], x[..., 1]
             root = np.sqrt(radius**2 - a * a - b * b)
             out = np.zeros(x.shape[:-1] + (3, 2))
@@ -277,7 +285,6 @@ def _build_sphere2(params) -> ParamImmersion:
             return out
 
         def inside(x):
-            x = np.asarray(x, dtype=float)
             return x[..., 0] ** 2 + x[..., 1] ** 2 < cap**2
 
         return Chart(
@@ -315,13 +322,11 @@ def _build_torus(params) -> ParamImmersion:
     _require(minor > 0 and major > minor, "torus needs R_maj > r_min > 0")
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
         th, ph = x[..., 0], x[..., 1]
         w = major + minor * np.cos(ph)
         return np.stack([w * np.cos(th), w * np.sin(th), minor * np.sin(ph)], axis=-1)
 
     def jac(x):
-        x = np.asarray(x, dtype=float)
         th, ph = x[..., 0], x[..., 1]
         sin_th, cos_th, sin_ph, cos_ph = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
         w = major + minor * cos_ph
@@ -350,23 +355,15 @@ def _build_helix(params) -> ParamImmersion:
     _require(window > 0 and margin > 0, "helix needs window > 0 and margin > 0")
 
     def ev(x):
-        t = np.asarray(x, dtype=float)[..., 0]
+        t = x[..., 0]
         return np.stack([np.cos(t), np.sin(t), pitch * t], axis=-1)
 
     def jac(x):
-        t = np.asarray(x, dtype=float)[..., 0]
+        t = x[..., 0]
         ones = np.ones_like(t)
         return np.stack([-np.sin(t), np.cos(t), pitch * ones], axis=-1)[..., None]
 
-    half = window + margin
-    chart = Chart(
-        lo=np.array([-half]),
-        hi=np.array([half]),
-        eval=ev,
-        jacobian=jac,
-        sample_lo=np.array([-window]),
-        sample_hi=np.array([window]),
-    )
+    chart = _cube_chart(1, window + margin, window, ev, jac)
     return ParamImmersion("helix", dict(params), 1, 3, [chart])
 
 
@@ -374,52 +371,41 @@ def _build_graph_of(params) -> ParamImmersion:
     """Graph of a height function over a box in R^m (codimension one).
 
     By default the height is the paraboloid coeff * |x|^2 / 2; library users
-    may instead pass callables ``height`` and ``height_grad``.
+    may instead pass callables ``height`` and ``height_grad``, together.
     """
-    m = int(params["m"])
+    m = _integer(params, "m")
     extent = float(params["extent"])
     window = float(params["window"])
     _require(m >= 1, "graph_of needs m >= 1")
     _require(m <= 4, "graph_of supports m <= 4")
     _require(extent > window > 0, "graph_of needs extent > window > 0")
-    height = params.get("height")
-    grad = params.get("height_grad")
+    height, grad = params.get("height"), params.get("height_grad")
+    _require((height is None) == (grad is None),
+             "graph_of takes height and height_grad together")
     if height is None:
         coeff = float(params["coeff"])
 
         def height(x):
-            x = np.asarray(x, dtype=float)
             return 0.5 * coeff * (x * x).sum(axis=-1)
 
         def grad(x):
-            return coeff * np.asarray(x, dtype=float)
+            return coeff * x
 
-    elif grad is None:
-        raise InvalidParams("graph_of with a custom height needs height_grad")
     n = m + 1
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (n,))
         out[..., :m] = x
         out[..., m] = height(x)
         return out
 
     def jac(x):
-        x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (n, m))
         out[..., :m, :] = np.eye(m)
         out[..., m, :] = grad(x)
         return out
 
-    chart = Chart(
-        lo=-extent * np.ones(m),
-        hi=extent * np.ones(m),
-        eval=ev,
-        jacobian=jac,
-        sample_lo=-window * np.ones(m),
-        sample_hi=window * np.ones(m),
-    )
+    chart = _cube_chart(m, extent, window, ev, jac)
     return ParamImmersion("graph_of", dict(params), m, n, [chart])
 
 
@@ -440,23 +426,15 @@ def _build_wiggle(params) -> ParamImmersion:
     omega = 2.0 * math.pi / delta
 
     def ev(x):
-        t = np.asarray(x, dtype=float)[..., 0]
+        t = x[..., 0]
         return np.stack([t, eps * np.sin(omega * t)], axis=-1)
 
     def jac(x):
-        t = np.asarray(x, dtype=float)[..., 0]
+        t = x[..., 0]
         ones = np.ones_like(t)
         return np.stack([ones, eps * omega * np.cos(omega * t)], axis=-1)[..., None]
 
-    half = window + margin
-    chart = Chart(
-        lo=np.array([-half]),
-        hi=np.array([half]),
-        eval=ev,
-        jacobian=jac,
-        sample_lo=np.array([-window]),
-        sample_hi=np.array([window]),
-    )
+    chart = _cube_chart(1, window + margin, window, ev, jac)
     return ParamImmersion("wiggle", dict(params), 1, 2, [chart])
 
 
@@ -470,7 +448,7 @@ ZOO = {
     ),
     "graph_of": ZooEntry(
         "graph_of", {"m": 2, "coeff": 1.0, "extent": 4.0, "window": 1.0},
-        _build_graph_of,
+        _build_graph_of, callables=("height", "height_grad"),
     ),
     "wiggle": ZooEntry(
         "wiggle", {"eps": 1e-6, "delta": 1e-7, "window": 0.5, "margin": 5.0},
@@ -485,9 +463,10 @@ def zoo_build(name: str, params: dict = None) -> ParamImmersion:
         raise UnknownEntry(f"unknown zoo entry {name!r}; have {sorted(ZOO)}")
     entry = ZOO[name]
     merged = dict(entry.defaults)
-    extra_ok = {"height", "height_grad"}
     for key, value in (params or {}).items():
-        if key not in entry.defaults and key not in extra_ok:
+        if key in entry.callables:
+            _require(callable(value), f"parameter {key!r} of entry {name!r} must be callable")
+        elif key not in entry.defaults:
             raise InvalidParams(f"unknown parameter {key!r} for entry {name!r}")
         merged[key] = value
     return entry.builder(merged)

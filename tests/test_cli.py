@@ -87,6 +87,17 @@ class TestExtractCommand:
         assert code == EXIT_INVALID
         assert "error" in err
 
+    @pytest.mark.parametrize("h", ["0.01", "0.3", "1.0"])
+    def test_coarse_cell_size_is_invalid(self, tmp_path, capsys, h):
+        # at 1.0 the base cell's center already lies outside the ball
+        code, _, err = run(
+            ["extract", "--immersion", "circle", "--r", "0.1", "--h", h,
+             "--out", str(tmp_path / "sample.csv")],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "cell size too coarse" in err
+
 
 class TestRadiiCommand:
     def test_circle_slope_radius(self, tmp_path, capsys):
@@ -382,6 +393,13 @@ class TestConfigPrecedence:
         ctx = tg.FrameContext.at(circle, circle.point(0, [0.0]), 0.5)
         assert json.loads(out)["cell_size"] == tg.component(ctx).h
 
+    def test_extract_one_q_value_fills_every_axis(self, tmp_path, capsys, extract_calls):
+        code, _, _ = run(
+            ["extract", "--immersion", "sphere2", "--q", "0.1", "--r", "0.2",
+             "--grid", "16", "--out", str(tmp_path / "sample.csv")], capsys)
+        assert code == EXIT_OK
+        assert extract_calls == [([0.1, 0.1], 16)]
+
     def test_extract_q(self, tmp_path, capsys, extract_calls):
         code, _, _ = self.run_config(
             tmp_path, capsys, {"q": "0.3"},
@@ -420,6 +438,49 @@ class TestContracts:
         code, _, err = run(args, capsys)
         assert code == EXIT_INVALID
         assert message in err
+
+    @pytest.mark.parametrize("args,fields,message", [
+        (["extract"], {}, "an --immersion entry name is required"),
+        (["extract"], {"immersion": ""}, "an --immersion entry name is required"),
+        (["extract", "--immersion", "circle"], {}, "extract requires --r"),
+        (["radii", "--immersion", "circle", "--lambda", "0.1"], {},
+         "radii requires --kind c0|c1"),
+        (["radii", "--immersion", "circle", "--lambda", "0.1"], {"kind": "c2"},
+         "radii requires --kind c0|c1"),
+        (["radii", "--immersion", "circle", "--kind", "c1"], {}, "radii requires --lambda"),
+        (["verify", "theorem", "--immersion", "circle"], {}, "verify requires --lambda"),
+        (["verify", "distance", "--immersion", "circle", "--lambda", "0.1"], {},
+         "distance requires --r"),
+        (["verify", "inclusion", "--immersion", "circle", "--lambda", "0.1"], {},
+         "inclusion requires --r"),
+        (["verify", "du-cert", "--immersion", "circle", "--lambda", "1e-5"], {},
+         "du-cert requires --r"),
+        (["counterexample", "--delta", "1e-7", "--r", "0.2"], {},
+         "counterexample requires --eps"),
+        (["counterexample", "--eps", "1e-6", "--r", "0.2"], {},
+         "counterexample requires --delta"),
+        (["counterexample", "--eps", "1e-6", "--delta", "1e-7"], {},
+         "counterexample requires --r"),
+    ])
+    def test_required_fields(self, tmp_path, capsys, args, fields, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code, _, err = run(args + ["--config", str(cfg)], capsys)
+        assert code == EXIT_INVALID
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fields", [
+        {"immersion": "circle", "params": {"height": "x"}},
+        {"immersion": "graph_of", "params": {"height": "x", "height_grad": "y"}},
+        {"immersion": "graph_of", "params": {"m": 2.5}},
+    ])
+    def test_zoo_parameter_that_is_not_honoured_is_invalid(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code, _, err = run(["radii", "--kind", "c1", "--lambda", "0.5", "--samples", "2",
+                            "--config", str(cfg)], capsys)
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ")
 
     def test_unknown_entry_is_invalid(self, capsys):
         code, _, _ = run(

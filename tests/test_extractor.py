@@ -51,6 +51,21 @@ class TestComponent:
         with pytest.raises(ValueError):
             tg.component(circle_ctx(circle, 0.5), h=0.2)
 
+    @pytest.mark.parametrize("name,chart,coords,r", [
+        ("torus", 0, [0.3, 1.0], 0.2),
+        ("sphere", 4, [0.8, 0.1], 0.3),
+    ])
+    def test_region_cell_sides_reflood_the_same_cells(self, torus, sphere, name, chart,
+                                                      coords, r):
+        f = {"torus": torus, "sphere": sphere}[name]
+        ctx = tg.FrameContext.at(f, f.point(chart, coords), r)
+        region = tg.component(ctx)
+        again = tg.component(ctx, region.h_axes)
+        assert np.array_equal(again.h_axes, region.h_axes)
+        assert list(again.blocks) == list(region.blocks)
+        for c, block in region.blocks.items():
+            assert np.array_equal(again.blocks[c].idx, block.idx)
+
     def test_boundary_escape(self):
         g = tg.zoo_build("graph_of", {"m": 1, "coeff": 0.0, "extent": 1.05,
                                       "window": 1.0})
@@ -350,6 +365,13 @@ class TestSolveHeight:
         region = tg.component(ctx)
         with pytest.raises((NoConvergence, tg.LeftRegion)):
             tg.solve_height(ctx, region, [1.15], circle.point(0, [0.0]))
+
+    def test_target_past_the_region_left_it(self, circle):
+        # the region covers a quarter of the radius; the target is near the rim
+        ctx = circle_ctx(circle, 0.5)
+        region = tg.component(tg.FrameContext(circle, ctx.base_point, ctx.iso, 0.125))
+        with pytest.raises(tg.LeftRegion, match="exited the component"):
+            tg.solve_height(ctx, region, [0.45], ctx.base_point)
 
     def test_one_newton_step_evaluates_the_frame_twice(self, monkeypatch):
         # the flat graph is linear in its parameter, so one step converges;

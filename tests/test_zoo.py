@@ -36,6 +36,36 @@ def test_unknown_param_key_rejected():
         tg.zoo_build("circle", {"radius": 1.0})
 
 
+def _slope(x):
+    return x
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("circle", {"height": "x"}, "unknown parameter 'height'"),
+    ("flat", {"height_grad": _slope}, "unknown parameter 'height_grad'"),
+    ("graph_of", {"height": "x", "height_grad": _slope}, "must be callable"),
+    ("graph_of", {"height": 1.0, "height_grad": _slope}, "must be callable"),
+    ("graph_of", {"height": _slope}, "together"),
+    ("graph_of", {"height_grad": _slope}, "together"),
+    ("graph_of", {"m": 2.5}, "m must be a whole number"),
+    ("flat", {"k": 1.5}, "k must be a whole number"),
+    ("flat", {"m": "2"}, "m must be a whole number"),
+])
+def test_parameter_is_honoured_or_rejected(name, params, message):
+    with pytest.raises(InvalidParams, match=message):
+        tg.zoo_build(name, params)
+
+
+def test_whole_number_dimensions_are_accepted():
+    assert tg.zoo_build("graph_of", {"m": 3.0}).m == 3
+    assert tg.zoo_build("flat", {"m": np.int64(2), "k": 2}).n == 4
+
+
+def test_bbox_cache_is_not_a_constructor_field(circle):
+    with pytest.raises(TypeError):
+        tg.ParamImmersion("circle", {}, 1, 2, circle.charts, _bbox_cache=5.0)
+
+
 class TestTangentSpace:
     def test_flat(self):
         f = tg.zoo_build("flat", {"m": 2, "k": 1})
