@@ -8,30 +8,21 @@ negative result), 2 inconclusive (e.g. boundary escape), 3 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    GeometryError,
-    Inconclusive,
-    InvalidParams,
-    PreconditionViolated,
-    UnknownEntry,
-)
+from .errors import (GeometryError, Inconclusive, InvalidParams, PreconditionViolated,
+                     UnknownEntry)
 from .extractor import FrameContext, extract
 from .radius import KIND_C0, KIND_C1, max_radius
-from .theorems import (
-    analyze_counterexample,
-    certify_du_bound,
-    check_distance_bound,
-    check_enlargement,
-    check_inclusion,
-    verify_main_theorem,
-)
+from .theorems import (analyze_counterexample, certify_du_bound, check_distance_bound,
+                       check_enlargement, check_inclusion, verify_main_theorem)
 from .zoo import ZOO, ParamPoint, zoo_build
 
 EXIT_OK = 0
@@ -47,15 +38,55 @@ _ENTRY_FLAGS = {
 }
 
 
-# The optional verify fields each statement reads; setting another one, by
-# flag or in --config, is an error.
-_VERIFY_READS = {
-    "theorem": {"samples", "tol", "grid"},
-    "enlargement": {"r", "samples", "tol", "grid"},
-    "distance": {"r", "rho", "q", "chart", "grid"},
-    "inclusion": {"r", "q", "chart"},
-    "du-cert": {"r", "q", "chart", "grid"},
+class _Field(NamedTuple):
+    flag: str
+    type: type
+    help: str = None
+    choices: tuple = None
+
+
+# Every config key: its flag and the type of its value, by flag or in --config.
+_FIELDS = {
+    "config": _Field("--config", str, "JSON config file; flags override its fields"),
+    "out": _Field("--out", str, "output path (JSON or CSV per command)"),
+    "quiet": _Field("--quiet", bool),
+    "immersion": _Field("--immersion", str, "zoo entry name"),
+    "kind": _Field("--kind", str, choices=("c0", "c1")),
+    "lam": _Field("--lambda", float),
+    "q": _Field("--q", str, "base coords, comma separated"),
+    "chart": _Field("--chart", int),
+    "r": _Field("--r", float),
+    "rho": _Field("--rho", float),
+    "cell": _Field("--h", float),
+    "tol": _Field("--tol", float),
+    "grid": _Field("--grid", int),
+    "samples": _Field("--samples", int, "sampler points per chart axis"),
+    "eps": _Field("--eps", float),
+    "delta": _Field("--delta", float),
+    "angles": _Field("--angles", int),
 }
+
+_STATEMENTS = ("theorem", "enlargement", "distance", "inclusion", "du-cert")
+
+# The keys each command and each verify statement reads, besides --config,
+# --out and --quiet; a command that reads an immersion takes every zoo
+# parameter too.  verify takes the keys of all its statements and refuses,
+# by flag or in --config, one its statement does not read.
+_READS = {
+    "zoo": (),
+    "extract": ("immersion", "q", "chart", "r", "grid", "cell"),
+    "radii": ("immersion", "kind", "lam", "tol", "grid", "samples"),
+    "counterexample": ("eps", "delta", "r", "angles"),
+    "theorem": ("immersion", "lam", "samples", "tol", "grid"),
+    "enlargement": ("immersion", "lam", "r", "samples", "tol", "grid"),
+    # tol only brackets the default base radius
+    "enlargement --r": ("immersion", "lam", "r", "samples", "grid"),
+    "distance": ("immersion", "lam", "r", "rho", "q", "chart", "grid"),
+    "inclusion": ("immersion", "lam", "r", "q", "chart"),
+    "du-cert": ("immersion", "lam", "r", "q", "chart", "grid"),
+}
+_READS["verify"] = tuple(dict.fromkeys(key for s in _STATEMENTS for key in _READS[s]))
+_POSITIONALS = {"zoo": {"action": ("list",)}, "verify": {"statement": _STATEMENTS}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,84 +99,61 @@ class SystemExit2(Exception):
     """Argument errors mapped onto the invalid-input exit code."""
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--out", help="output path (JSON or CSV per command)")
-    p.add_argument("--quiet", action="store_true", default=None)
-
-
-def _add_entry_flags(p):
-    p.add_argument("--immersion", help="zoo entry name")
-    for name, typ in _ENTRY_FLAGS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=f"param_{name}")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="tangentgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_zoo = sub.add_parser("zoo", help="list built-in immersions")
-    p_zoo.add_argument("action", choices=["list"])
-    _add_common(p_zoo)
-
-    p_ext = sub.add_parser("extract", help="graph sample over one base point")
-    _add_entry_flags(p_ext)
-    p_ext.add_argument("--q", help="base coords, comma separated")
-    p_ext.add_argument("--chart", type=int, default=None)
-    p_ext.add_argument("--r", type=float, required=False)
-    p_ext.add_argument("--grid", type=int, default=None)
-    p_ext.add_argument("--h", type=float, default=None, dest="cell")
-    _add_common(p_ext)
-
-    p_rad = sub.add_parser("radii", help="maximal-radius report")
-    _add_entry_flags(p_rad)
-    p_rad.add_argument("--kind", choices=["c0", "c1"], required=False)
-    p_rad.add_argument("--lambda", dest="lam", type=float, required=False)
-    p_rad.add_argument("--tol", type=float, default=None)
-    p_rad.add_argument("--grid", type=int, default=None)
-    p_rad.add_argument("--samples", type=int, default=None,
-                       help="sampler points per chart axis")
-    _add_common(p_rad)
-
-    p_ver = sub.add_parser("verify", help="check a statement numerically")
-    p_ver.add_argument(
-        "statement",
-        choices=list(_VERIFY_READS),
-    )
-    _add_entry_flags(p_ver)
-    p_ver.add_argument("--lambda", dest="lam", type=float, required=False)
-    p_ver.add_argument("--r", type=float, default=None)
-    p_ver.add_argument("--rho", type=float, default=None)
-    p_ver.add_argument("--q", default=None)
-    p_ver.add_argument("--chart", type=int, default=None)
-    p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--grid", type=int, default=None)
-    p_ver.add_argument("--samples", type=int, default=None)
-    _add_common(p_ver)
-
-    p_ce = sub.add_parser("counterexample", help="free-line graph analysis")
-    p_ce.add_argument("--eps", type=float, required=False)
-    p_ce.add_argument("--delta", type=float, required=False)
-    p_ce.add_argument("--r", type=float, required=False)
-    p_ce.add_argument("--angles", type=int, default=None)
-    _add_common(p_ce)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, choices in _POSITIONALS.get(command, {}).items():
+            p.add_argument(name, choices=choices)
+        for key in _READS[command] + ("config", "out", "quiet"):
+            flag, typ, help_text, choices = _FIELDS[key]
+            kwargs = {"action": "store_true"} if typ is bool else {"type": typ, "choices": choices}
+            p.add_argument(flag, dest=key, default=None, help=help_text, **kwargs)
+            if key == "immersion":
+                for name, typ in _ENTRY_FLAGS.items():
+                    p.add_argument(f"--{name.replace('_', '-')}", type=typ,
+                                   dest=f"param_{name}")
     return parser
 
 
+def _typed(key, value, typ):
+    """A config value as its flag's type, or InvalidParams: an int field takes
+    whole numbers only, and no number field takes a boolean."""
+    if typ in (str, bool):
+        ok = isinstance(value, typ)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and (
+            typ is float or isinstance(value, int) or value.is_integer())
+    if ok:
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            return typ(value)
+    wanted = {str: "a string", bool: "true or false", int: "a whole number"}.get(typ, "a number")
+    raise InvalidParams(f"config field {key!r} must be {wanted}, got {json.dumps(value)}")
+
+
 def _merge_config(args) -> dict:
-    """Known-field config dict from file plus flag overrides."""
+    """Known-field config dict from file, typed like the flags, plus flag overrides."""
     cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                loaded = json.load(handle)
+        except OSError as exc:
+            raise InvalidParams(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InvalidParams("config file must hold a JSON object")
-        known = set(vars(args)) | {"params"}
-        for key in loaded:
-            if key not in known:
+        keys = _READS[args.command] + ("out", "quiet")
+        for key, value in loaded.items():
+            if key == "params" and "immersion" in keys:
+                if not isinstance(value, dict):
+                    raise InvalidParams("config field 'params' must be an object")
+                cfg[key] = {name: _typed(f"params.{name}", v, _ENTRY_FLAGS[name])
+                            if name in _ENTRY_FLAGS else v for name, v in value.items()}
+            elif key in keys:
+                cfg[key] = _typed(key, value, _FIELDS[key].type)
+            else:
                 raise InvalidParams(f"unknown config field {key!r}")
-        cfg.update(loaded)
     for key, value in vars(args).items():
         if key == "config" or value is None:
             continue
@@ -153,7 +161,6 @@ def _merge_config(args) -> dict:
             cfg.setdefault("params", {})[key[len("param_"):]] = value
         else:
             cfg[key] = value
-    cfg.pop("config", None)
     return cfg
 
 
@@ -165,10 +172,10 @@ def _required(cfg, key, message, choices=None):
     return value
 
 
-def _given(cfg, key, cast, keyword=None) -> dict:
-    """{keyword: cast(cfg[key])} when the field is set, else {}: an unset
-    field falls to the library's own default."""
-    return {} if cfg.get(key) is None else {keyword or key: cast(cfg[key])}
+def _given(cfg, key, keyword=None) -> dict:
+    """{keyword: cfg[key]} when the field is set, else {}: an unset field
+    falls to the library's own default."""
+    return {keyword or key: cfg[key]} if key in cfg else {}
 
 
 def _build_immersion(cfg):
@@ -177,22 +184,17 @@ def _build_immersion(cfg):
 
 
 def _parse_q(cfg, immersion) -> ParamPoint:
-    raw = str(cfg.get("q", "0"))
-    coords = [float(v) for v in raw.split(",") if v != ""]
+    coords = [float(v) for v in cfg.get("q", "0").split(",") if v != ""]
     if len(coords) == 1 and immersion.m > 1:
         coords = coords * immersion.m
     if len(coords) != immersion.m:
-        raise InvalidParams(
-            f"base point needs {immersion.m} coordinates, got {len(coords)}"
-        )
-    chart = cfg.get("chart")
-    if chart is None:
-        chart = 4 if immersion.name == "sphere2" else 0
-    return immersion.point(int(chart), np.array(coords))
+        raise InvalidParams(f"base point needs {immersion.m} coordinates, got {len(coords)}")
+    chart = cfg.get("chart", 4 if immersion.name == "sphere2" else 0)
+    return immersion.point(chart, np.array(coords))
 
 
 def _sample(cfg, immersion) -> list:
-    per_axis = int(cfg.get("samples", 8))
+    per_axis = cfg.get("samples", 8)
     if per_axis < 1:
         raise InvalidParams("--samples must be at least 1")
     return immersion.sample_points(per_axis=per_axis)
@@ -215,17 +217,16 @@ def _emit(cfg, result: dict) -> None:
 
 
 def _cmd_zoo(cfg) -> int:
-    result = {"entries": sorted(ZOO)}
-    _emit(cfg, result)
+    _emit(cfg, {"entries": sorted(ZOO)})
     return EXIT_OK
 
 
 def _cmd_extract(cfg) -> int:
     immersion = _build_immersion(cfg)
-    r = float(_required(cfg, "r", "extract requires --r"))
+    r = _required(cfg, "r", "extract requires --r")
     q = _parse_q(cfg, immersion)
     ctx = FrameContext.at(immersion, q, r)
-    sample = extract(ctx, int(cfg.get("grid", 256)), cfg.get("cell"))
+    sample = extract(ctx, cfg.get("grid", 256), cfg.get("cell"))
     out = cfg.get("out") or "graph_sample.csv"
     sample.to_csv(out)
     if not cfg.get("quiet", False):
@@ -236,17 +237,11 @@ def _cmd_extract(cfg) -> int:
 
 def _cmd_radii(cfg) -> int:
     immersion = _build_immersion(cfg)
-    kind = _required(cfg, "kind", "radii requires --kind c0|c1", ("c0", "c1"))
-    lam = float(_required(cfg, "lam", "radii requires --lambda"))
+    kind = _required(cfg, "kind", "radii requires --kind c0|c1", _FIELDS["kind"].choices)
+    lam = _required(cfg, "lam", "radii requires --lambda")
     Q = _sample(cfg, immersion)
-    report = max_radius(
-        immersion,
-        lam,
-        KIND_C0 if kind == "c0" else KIND_C1,
-        Q,
-        N=cfg.get("grid"),
-        **_given(cfg, "tol", float),
-    )
+    report = max_radius(immersion, lam, KIND_C0 if kind == "c0" else KIND_C1, Q,
+                        N=cfg.get("grid"), **_given(cfg, "tol"))
     _emit(cfg, report.to_dict())
     return EXIT_OK
 
@@ -254,72 +249,66 @@ def _cmd_radii(cfg) -> int:
 def _cmd_verify(cfg) -> int:
     immersion = _build_immersion(cfg)
     statement = cfg["statement"]
-    lam = float(_required(cfg, "lam", "verify requires --lambda"))
+    lam = _required(cfg, "lam", "verify requires --lambda")
     grid = cfg.get("grid")
-    reads = _VERIFY_READS[statement]
-    if statement == "enlargement" and cfg.get("r") is not None:
-        reads = reads - {"tol"}  # tol only brackets the default base radius
-    stray = [f"--{key}" for key in sorted(set().union(*_VERIFY_READS.values()) - reads)
-             if cfg.get(key) is not None]
+    reads = _READS.get(f"{statement} --r" if "r" in cfg else statement, _READS[statement])
+    stray = [_FIELDS[key].flag for key in sorted(set(_READS["verify"]) - set(reads))
+             if key in cfg]
     if stray:
         raise InvalidParams(f"verify {statement} does not use {', '.join(stray)}")
 
-    if statement == "theorem":
+    if statement in ("theorem", "enlargement"):
         Q = _sample(cfg, immersion)
-        verdict = verify_main_theorem(immersion, lam, Q, N=grid, **_given(cfg, "tol", float))
-        _emit(cfg, verdict.to_dict())
-        return EXIT_OK if verdict.holds else EXIT_FAIL
+    else:
+        q = _parse_q(cfg, immersion)
+        r = _required(cfg, "r", f"{statement} requires --r")
 
-    if statement == "enlargement":
-        Q = _sample(cfg, immersion)
+    if statement == "theorem":
+        result = verify_main_theorem(immersion, lam, Q, N=grid, **_given(cfg, "tol")).to_dict()
+    elif statement == "enlargement":
         r = cfg.get("r")
         if r is None:
-            base = max_radius(immersion, lam, KIND_C1, Q, N=grid,
-                              **_given(cfg, "tol", float))
+            base = max_radius(immersion, lam, KIND_C1, Q, N=grid, **_given(cfg, "tol"))
             if base.status != "bracketed":
                 raise Inconclusive(f"no usable base radius ({base.status})")
             r = 0.9 * base.r_lo
-        holds = check_enlargement(immersion, float(r), lam, Q, N=grid)
-        _emit(cfg, {"holds": holds, "r": float(r), "lambda": lam})
-        return EXIT_OK if holds else EXIT_FAIL
-
-    q = _parse_q(cfg, immersion)
-    r = float(_required(cfg, "r", f"{statement} requires --r"))
-    if statement == "distance":
-        rho = r if cfg.get("rho") is None else float(cfg["rho"])
-        holds = check_distance_bound(immersion, q, rho, r, lam, N=grid)
-        _emit(cfg, {"holds": holds, "r": r, "rho": rho, "lambda": lam})
-        return EXIT_OK if holds else EXIT_FAIL
-
-    if statement == "inclusion":
-        holds = check_inclusion(immersion, q, r, lam)
-        _emit(cfg, {"holds": holds, "r": r, "lambda": lam})
-        return EXIT_OK if holds else EXIT_FAIL
-
-    cert = certify_du_bound(immersion, q, r, lam, N=grid)  # du-cert
-    result = cert.to_dict()
-    result["holds"] = result["max_actual"] <= result["global_bound"]
+        result = {"holds": check_enlargement(immersion, r, lam, Q, N=grid), "r": r, "lambda": lam}
+    elif statement == "distance":
+        rho = cfg.get("rho", r)
+        result = {"holds": check_distance_bound(immersion, q, rho, r, lam, N=grid),
+                  "r": r, "rho": rho, "lambda": lam}
+    elif statement == "inclusion":
+        result = {"holds": check_inclusion(immersion, q, r, lam), "r": r, "lambda": lam}
+    else:  # du-cert
+        result = certify_du_bound(immersion, q, r, lam, N=grid).to_dict()
+        result["holds"] = result["max_actual"] <= result["global_bound"]
     _emit(cfg, result)
     return EXIT_OK if result["holds"] else EXIT_FAIL
 
 
 def _cmd_counterexample(cfg) -> int:
-    eps, delta, r = (float(_required(cfg, key, f"counterexample requires --{key}"))
+    eps, delta, r = (_required(cfg, key, f"counterexample requires --{key}")
                      for key in ("eps", "delta", "r"))
-    report = analyze_counterexample(eps, delta, r, **_given(cfg, "angles", int, "angle_grid"))
+    report = analyze_counterexample(eps, delta, r, **_given(cfg, "angles", "angle_grid"))
     _emit(cfg, report.to_dict())
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-_COMMANDS = {"zoo": _cmd_zoo, "extract": _cmd_extract, "radii": _cmd_radii,
-             "verify": _cmd_verify, "counterexample": _cmd_counterexample}
+# Each command's function and help line.
+_COMMANDS = {
+    "zoo": (_cmd_zoo, "list built-in immersions"),
+    "extract": (_cmd_extract, "graph sample over one base point"),
+    "radii": (_cmd_radii, "maximal-radius report"),
+    "verify": (_cmd_verify, "check a statement numerically"),
+    "counterexample": (_cmd_counterexample, "free-line graph analysis"),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         cfg = _merge_config(parser.parse_args(argv))
-        return _COMMANDS[cfg["command"]](cfg)
+        return _COMMANDS[cfg["command"]][0](cfg)
     except (SystemExit2, InvalidParams, UnknownEntry, PreconditionViolated,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -448,9 +448,10 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     each chart together.  Steps that leave a chart's valid set are shrunk to
     the boundary and, when pinned there, the iterate is relocated into an
     overlapping chart.  Iterates that stay outside the component region for
-    two consecutive iterations are abandoned as LeftRegion; the rest either
-    converge or report NoConvergence.  A row whose Newton system is
-    singular takes no step and ends at once as NoConvergence.
+    two consecutive iterations, or converge outside it, are abandoned as
+    LeftRegion; the rest either converge or report NoConvergence.  A row
+    whose Newton system is singular takes no step and ends at once as
+    NoConvergence.
     """
     f = ctx.immersion
     m, k = f.m, f.k
@@ -478,7 +479,9 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
         conv = res <= tol
         if conv.any():
             g, res = g.compress(~conv, axis=0), res.compress(~conv)
+            strayed = ids[conv & (strikes > 0)]  # the last step ended outside the region
             live = ids, tgt, chart, cur, y, strikes = _leave(live, conv, _SOLVE_OK, out)
+            out[0][strayed] = _SOLVE_LEFT
 
         # Newton step in the frame projection, one chart's slice at a time;
         # a row relocated into another chart waits a turn.

@@ -129,11 +129,8 @@ class ParamImmersion:
         coords = np.asarray(coords, dtype=float)
         return np.asarray(self.charts[chart].jacobian(coords), dtype=float)
 
-    def sample_points(self, per_axis: int) -> list:
-        """Deterministic grid sample covering the represented portion of M."""
-        if per_axis < 0:
-            raise ValueError(f"per_axis must be non-negative, got {per_axis}")
-        out = []
+    def _sample_grid(self, per_axis: int):
+        """Per chart, its index and the sample grid's coords in its valid set."""
         for ci, chart in enumerate(self.charts):
             axes = []
             for d in range(chart.dim):
@@ -144,16 +141,19 @@ class ParamImmersion:
                     axes.append(np.linspace(lo, hi, per_axis))
             mesh = np.meshgrid(*axes, indexing="ij")
             coords = np.stack([g.ravel() for g in mesh], axis=-1)
-            keep = chart.contains(coords)
-            for c in coords[keep]:
-                out.append(ParamPoint(ci, c))
-        return out
+            yield ci, coords[chart.contains(coords)]
+
+    def sample_points(self, per_axis: int) -> list:
+        """Deterministic grid sample covering the represented portion of M."""
+        if per_axis < 0:
+            raise ValueError(f"per_axis must be non-negative, got {per_axis}")
+        return [ParamPoint(ci, c) for ci, coords in self._sample_grid(per_axis) for c in coords]
 
     def ambient_bbox_diag(self) -> float:
         """Cached bounding-box diagonal of the sampled image, for radius scales."""
         if self._bbox_cache is None:
-            pts = self.sample_points(per_axis=17)
-            amb = np.stack([self.eval(p) for p in pts])
+            amb = np.concatenate([self.eval_chart(ci, coords)
+                                  for ci, coords in self._sample_grid(17)])
             diag = float(np.linalg.norm(amb.max(axis=0) - amb.min(axis=0)))
             self._bbox_cache = diag if diag > 0 else 1.0
         return self._bbox_cache
@@ -210,27 +210,34 @@ def _cube_chart(m: int, half: float, window: float, ev, jac) -> Chart:
                  sample_lo=-window * np.ones(m), sample_hi=window * np.ones(m))
 
 
+def _graph_chart(m: int, k: int, half: float, window: float, height, grad) -> Chart:
+    """The graph x -> (x, height(x)) over a _cube_chart; height maps coords
+    (..., m) to (..., k) and grad to (..., k, m), or either is a constant."""
+    n = m + k
+
+    def ev(x):
+        out = np.empty(x.shape[:-1] + (n,))
+        out[..., :m] = x
+        out[..., m:] = height(x)
+        return out
+
+    def jac(x):
+        out = np.zeros(x.shape[:-1] + (n, m))
+        out[..., :m, :] = np.eye(m)
+        out[..., m:, :] = grad(x)
+        return out
+
+    return _cube_chart(m, half, window, ev, jac)
+
+
 def _build_flat(params) -> ParamImmersion:
     m, k = _integer(params, "m"), _integer(params, "k")
     extent = float(params["extent"])
     _require(m >= 1 and k >= 1, "flat needs m >= 1 and k >= 1")
     _require(m <= 4, "flat supports m <= 4")
     _require(extent > 0, "flat extent must be positive")
-    n = m + k
-
-    def ev(x):
-        out = np.zeros(x.shape[:-1] + (n,))
-        out[..., :m] = x
-        return out
-
-    jac_block = np.zeros((n, m))
-    jac_block[:m, :m] = np.eye(m)
-
-    def jac(x):
-        return np.broadcast_to(jac_block, x.shape[:-1] + (n, m)).copy()
-
-    chart = _cube_chart(m, extent, 1.0, ev, jac)
-    return ParamImmersion("flat", dict(params), m, n, [chart])
+    chart = _graph_chart(m, k, extent, 1.0, lambda x: 0.0, lambda x: 0.0)
+    return ParamImmersion("flat", dict(params), m, m + k, [chart])
 
 
 def _build_circle(params) -> ParamImmersion:
@@ -391,22 +398,9 @@ def _build_graph_of(params) -> ParamImmersion:
         def grad(x):
             return coeff * x
 
-    n = m + 1
-
-    def ev(x):
-        out = np.zeros(x.shape[:-1] + (n,))
-        out[..., :m] = x
-        out[..., m] = height(x)
-        return out
-
-    def jac(x):
-        out = np.zeros(x.shape[:-1] + (n, m))
-        out[..., :m, :] = np.eye(m)
-        out[..., m, :] = grad(x)
-        return out
-
-    chart = _cube_chart(m, extent, window, ev, jac)
-    return ParamImmersion("graph_of", dict(params), m, n, [chart])
+    chart = _graph_chart(m, 1, extent, window, lambda x: np.expand_dims(height(x), -1),
+                         lambda x: np.expand_dims(grad(x), -2))
+    return ParamImmersion("graph_of", dict(params), m, m + 1, [chart])
 
 
 def _build_wiggle(params) -> ParamImmersion:
@@ -424,17 +418,8 @@ def _build_wiggle(params) -> ParamImmersion:
     _require(delta > 0, "wiggle needs delta > 0")
     _require(window > 0 and margin > 0, "wiggle needs window > 0 and margin > 0")
     omega = 2.0 * math.pi / delta
-
-    def ev(x):
-        t = x[..., 0]
-        return np.stack([t, eps * np.sin(omega * t)], axis=-1)
-
-    def jac(x):
-        t = x[..., 0]
-        ones = np.ones_like(t)
-        return np.stack([ones, eps * omega * np.cos(omega * t)], axis=-1)[..., None]
-
-    chart = _cube_chart(1, window + margin, window, ev, jac)
+    chart = _graph_chart(1, 1, window + margin, window, lambda t: eps * np.sin(omega * t),
+                         lambda t: (eps * omega * np.cos(omega * t))[..., None])
     return ParamImmersion("wiggle", dict(params), 1, 2, [chart])
 
 

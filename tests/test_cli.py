@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -529,3 +531,89 @@ class TestContracts:
         assert json.dumps(reports[0], sort_keys=True) == json.dumps(
             reports[1], sort_keys=True
         )
+
+
+DISTANCE = ["verify", "distance", "--immersion", "circle", "--lambda", "0.1", "--r", "0.19",
+            "--q", "0.3"]
+
+
+class TestTypedConfig:
+    """A config value is typed like its flag, and one of another type is invalid."""
+
+    @staticmethod
+    def run_config(tmp_path, capsys, fields, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        return run(args + ["--config", str(cfg)], capsys)
+
+    @pytest.mark.parametrize("args,fields", [
+        (RADII, {"grid": 65.5}),
+        (RADII, {"grid": "65"}),
+        (RADII, {"grid": "x"}),
+        (RADII, {"grid": True}),
+        (DISTANCE, {"grid": 65.5}),
+        (DISTANCE, {"grid": "65"}),
+        (DISTANCE, {"grid": "x"}),
+        (DISTANCE, {"grid": True}),
+        (RADII, {"params": [1]}),
+        (RADII, {"params": {"R": [1]}}),
+        (RADII, {"samples": 2.5}),
+        (DISTANCE, {"chart": 4.9}),
+        (DISTANCE, {"chart": True}),
+        (RADII, {"quiet": "no"}),
+        (RADII, {"lam": None}),
+        (["counterexample", "--eps", "1e-6", "--delta", "1e-7", "--r", "0.2"], {"angles": 16.5}),
+    ])
+    def test_value_of_another_type_is_invalid(self, tmp_path, capsys, args, fields):
+        code, out, err = self.run_config(tmp_path, capsys, fields, args)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: config field ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,fields", [
+        (["zoo", "list"], {"params": {}}),
+        (["counterexample", "--eps", "1e-6", "--delta", "1e-7", "--r", "0.2"], {"params": {}}),
+        (RADII, {"chart": 0}),
+        (RADII, {"config": "other.json"}),
+        (RADII, {"param_R": 2.0}),
+    ])
+    def test_key_the_command_does_not_read_is_unknown(self, tmp_path, capsys, args, fields):
+        code, _, err = self.run_config(tmp_path, capsys, fields, args)
+        assert code == EXIT_INVALID
+        assert err == f"error: unknown config field {next(iter(fields))!r}\n"
+
+    def test_whole_float_runs_as_its_int(self, tmp_path, capsys):
+        args = RADII + ["--samples", "1"]
+        code, out, _ = self.run_config(tmp_path, capsys, {"grid": 65.0}, args)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["result"]["grid_n"] == 65
+        code, flag_out, _ = run(args + ["--grid", "65"], capsys)
+        assert code == EXIT_OK
+        flag_report = json.loads(flag_out)
+        report.pop("timestamp"), flag_report.pop("timestamp")
+        assert report == flag_report
+        assert type(report["config"]["grid"]) is int
+
+    def test_number_fields_take_ints_as_floats(self, tmp_path, capsys):
+        code, out, _ = self.run_config(tmp_path, capsys, {"params": {"R": 2}},
+                                       RADII + ["--samples", "1"])
+        assert code == EXIT_OK
+        assert json.dumps(json.loads(out)["config"]["params"]) == '{"R": 2.0}'
+
+    def test_missing_config_file_is_invalid(self, tmp_path, capsys):
+        code, _, err = run(RADII + ["--config", str(tmp_path / "missing.json")], capsys)
+        assert code == EXIT_INVALID
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
+def test_readme_cli_examples_parse():
+    """Every command line in README's CLI section parses; none is run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("tangentgraph ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command in line

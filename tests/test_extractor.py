@@ -373,6 +373,15 @@ class TestSolveHeight:
         with pytest.raises(tg.LeftRegion, match="exited the component"):
             tg.solve_height(ctx, region, [0.45], ctx.base_point)
 
+    def test_converging_past_the_region_left_it(self, sphere):
+        # Newton converges within two iterations, before the two-strike rule
+        # fires; the converged parameter still lies outside the region
+        q = sphere.point(4, [0.0, 0.0])
+        ctx = tg.FrameContext.at(sphere, q, 0.5)
+        region = tg.component(tg.FrameContext(sphere, q, ctx.iso, 0.125))
+        with pytest.raises(tg.LeftRegion, match="exited the component"):
+            tg.solve_height(ctx, region, [0.45, 0.0], q)
+
     def test_one_newton_step_evaluates_the_frame_twice(self, monkeypatch):
         # the flat graph is linear in its parameter, so one step converges;
         # the line search's evaluation at the accepted point is reused
