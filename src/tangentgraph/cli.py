@@ -313,6 +313,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except GeometryError as exc:  # Inconclusive, ProbeHypothesisFailed, ...
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -27,8 +27,9 @@ from .errors import (
     NoConvergence,
     NotAGraph,
 )
-from .geometry import (Isometry, _orthonormalize_batch, _singular_extremes, graph_slopes,
-                       is_admissible, left_product, make_admissible_isometry, row_norm)
+from .geometry import (Isometry, _grid_rows, _orthonormalize_batch, _singular_extremes,
+                       graph_slopes, is_admissible, left_product, make_admissible_isometry,
+                       row_norm)
 from .zoo import ParamImmersion, ParamPoint, tangent_space
 
 STATUS_OK = 0
@@ -59,7 +60,7 @@ class FrameContext:
     def at(cls, immersion: ParamImmersion, q: ParamPoint, r: float,
            iso: Isometry = None) -> "FrameContext":
         """Context with the canonical admissible isometry unless one is given."""
-        if r <= 0:
+        if not r > 0:
             raise ValueError("radius must be positive")
         plane = tangent_space(immersion, q)
         base = immersion.eval(q)
@@ -117,14 +118,6 @@ def _window_read(mask, lo, counts, periodic, cells) -> np.ndarray:
     pos, ok = _window_pos(cells, lo, mask.shape, counts, periodic)
     # a row outside the window reads a clipped cell, then False
     return mask.take(_flat_index(pos, mask.shape), mode="clip") & ok
-
-
-def _grid_rows(axes) -> np.ndarray:
-    """Rows of the grid spanned by per-axis values, in row-major order."""
-    out = np.empty(tuple(map(len, axes)) + (len(axes),), dtype=np.result_type(*axes))
-    for d, vals in enumerate(axes):
-        out[..., d] = vals.reshape((-1,) + (1,) * (len(axes) - 1 - d))
-    return out.reshape(-1, len(axes))
 
 
 def _label(mask: np.ndarray, seam) -> np.ndarray:
@@ -451,10 +444,10 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     two consecutive iterations, or converge outside it, are abandoned as
     LeftRegion; the rest either converge or report NoConvergence.  A row
     whose Newton system is singular takes no step and ends at once as
-    NoConvergence.
+    NoConvergence.  Returns each row's status, chart, coords and frame coords.
     """
     f = ctx.immersion
-    m, k = f.m, f.k
+    m = f.m
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     B = targets.shape[0]
     tol = 1e-10 * max(1.0, ctx.radius)
@@ -463,7 +456,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     out = (np.full(B, _SOLVE_NO_CONV, dtype=np.int8),
            np.asarray(seed_charts, dtype=np.int64).copy(),
            np.atleast_2d(np.asarray(seed_coords, dtype=float)).copy(),
-           np.zeros((B, k)))
+           np.zeros((B, f.n)))
     # Live rows, sorted by chart so that each chart's rows are one slice:
     # row id, target, chart, iterate, its frame coords, strikes.
     order = np.argsort(out[1], kind="stable")
@@ -479,9 +472,11 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
         conv = res <= tol
         if conv.any():
             g, res = g.compress(~conv, axis=0), res.compress(~conv)
-            strayed = ids[conv & (strikes > 0)]  # the last step ended outside the region
-            live = ids, tgt, chart, cur, y, strikes = _leave(live, conv, _SOLVE_OK, out)
-            out[0][strayed] = _SOLVE_LEFT
+            # a row that converged just after stepping outside the region left it
+            code = np.where(strikes > 0, _SOLVE_LEFT, _SOLVE_OK)
+            live = ids, tgt, chart, cur, y, strikes = _leave(live, conv, code, out)
+        if not len(ids):
+            break
 
         # Newton step in the frame projection, one chart's slice at a time;
         # a row relocated into another chart waits a turn.
@@ -524,19 +519,13 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                         cur[row] = target.coords
                         y[row] = ctx.frame_coords(target.chart, target.coords[None, :])[0]
                         moved = True
-        # A singular row took no step; it ends unsolved.
-        if singular_rows.any():
-            live = ids, tgt, chart, cur, y, strikes = _leave(
-                live, singular_rows, _SOLVE_NO_CONV, out)
-        if not len(ids):
-            break
-
         # Region escape bookkeeping, in each row's chart after relocation.
+        # A singular row took no step; it ends unsolved.
         inside = _per_chart(region.contains, chart, cur)
         strikes[:] = np.where(inside, 0, strikes + 1)
-        gone = strikes >= 2
+        gone = singular_rows | (strikes >= 2)
         if gone.any():
-            live = _leave(live, gone, _SOLVE_LEFT, out)
+            live = _leave(live, gone, np.where(singular_rows, _SOLVE_NO_CONV, _SOLVE_LEFT), out)
         if moved:
             order = np.lexsort((live[0], live[2]))
             live = [a.take(order, axis=0) for a in live]
@@ -546,21 +535,18 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
 
 
 def _leave(live, sel, code, out):
-    """Write the selected live rows' status, chart and iterate (and heights
-    when solved) into out, and return the other live rows."""
+    """Write the selected live rows' status (code, one per live row or one for
+    all), chart, iterate and frame coords into out; return the other rows."""
     every = sel.all()  # then nothing stays, and nothing need be copied
-    rows, _, chart, cur, y = live[:5] if every else [a.compress(sel, axis=0) for a in live[:5]]
-    status, out_chart, out_coords, heights = out
-    status[rows], out_chart[rows], out_coords[rows] = code, chart, cur
-    if code == _SOLVE_OK:
-        heights[rows] = y[:, cur.shape[1]:]
+    cols = (*live[:5], np.broadcast_to(code, sel.shape))
+    rows, _, chart, cur, y, code = cols if every else [a.compress(sel, axis=0) for a in cols]
+    status, out_chart, out_coords, frame = out
+    status[rows], out_chart[rows], out_coords[rows], frame[rows] = code, chart, cur, y
     return [a[:0] if every else a.compress(~sel, axis=0) for a in live]
 
 
 def _constrain(chart, start, cand):
     """Wrap chart's periodic axes; shrink steps from start that exit its valid set."""
-    if all(chart.periodic) and chart.inside is None:
-        return chart.wrap(cand)
     ok = chart.contains(cand)
     if not ok.all():
         delta = cand - start
@@ -588,14 +574,14 @@ def solve_height(ctx: FrameContext, region: ComponentRegion, x,
         raise ValueError("target lies outside the open working ball")
     if not region.contains(seed.chart, seed.coords)[0]:
         raise ValueError("seed parameter is not inside the component region")
-    status, chart, coords, heights = _solve_batch(
+    status, chart, coords, frame = _solve_batch(
         ctx, region, x[None, :], np.array([seed.chart]), seed.coords[None, :]
     )
     if status[0] == _SOLVE_LEFT:
         raise LeftRegion(f"iterate exited the component while solving x={x}")
     if status[0] != _SOLVE_OK:
         raise NoConvergence(f"no convergence after {NEWTON_MAX_ITER} iterations at x={x}")
-    return ParamPoint(int(chart[0]), coords[0]), heights[0]
+    return ParamPoint(int(chart[0]), coords[0]), frame[0, ctx.immersion.m:]
 
 
 @dataclass
@@ -674,9 +660,9 @@ def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
     node nearest their radial projection onto the ring just inside the
     block; rows that fail stay unsolved.
 
-    Returns (node_map, solved, p_chart, p_coords, heights).
+    Returns (node_map, solved, p_chart, p_coords, frame), frame coords per node.
     """
-    m, k = node_idx.shape[1], ctx.immersion.k
+    m = node_idx.shape[1]
     P = len(node_idx)
     hi = np.asarray(shape) - 1
     node_map = np.full(shape, -1, dtype=np.int64)
@@ -684,7 +670,7 @@ def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
 
     center = np.broadcast_to(center, (m,))
     lvl = np.maximum.reduce([np.abs(node_idx[:, d] - center[d]) for d in range(m)])
-    heights = np.zeros((P, k))
+    frame = np.zeros((P, ctx.immersion.n))
     p_chart = np.zeros(P, dtype=np.int64)
     p_coords = np.zeros((P, m))
     solved = np.zeros(P, dtype=bool)
@@ -720,16 +706,16 @@ def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
             seeds = seed_ids.compress(good)
             seeds_c = p_chart.take(seeds)
             seeds_x = p_coords.take(seeds, axis=0)
-        st, cc, px, hh = _solve_batch(
+        st, cc, px, yy = _solve_batch(
             ctx, region, coords.take(solve_rows, axis=0), seeds_c, seeds_x
         )
         ok = st == _SOLVE_OK
         done = solve_rows.compress(ok)
         solved[done] = True
-        heights[done] = hh.compress(ok, axis=0)
+        frame[done] = yy.compress(ok, axis=0)
         p_chart[done] = cc.compress(ok)
         p_coords[done] = px.compress(ok, axis=0)
-    return node_map, solved, p_chart, p_coords, heights
+    return node_map, solved, p_chart, p_coords, frame
 
 
 def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
@@ -738,14 +724,14 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     m, k = f.m, f.k
     r = ctx.radius
     a = r * (1 - 2e-9)
-    coords_all = _grid_rows([np.linspace(-a, a, N)] * m)
     idx_all = _grid_rows([np.arange(N)] * m)
+    coords_all = np.linspace(-a, a, N)[idx_all]
     keep = row_norm(coords_all) < r * (1 - 1e-9)
     coords = coords_all.compress(keep, axis=0)
     node_idx = idx_all.compress(keep, axis=0)
     P = len(coords)
 
-    node_map, solved, p_chart, p_coords, heights = _solve_lattice(
+    node_map, solved, p_chart, p_coords, frame = _solve_lattice(
         ctx, region, node_idx, coords, (N - 1) / 2.0, (N,) * m
     )
     status = np.full(P, STATUS_UNCOVERED, dtype=np.int8)
@@ -773,7 +759,7 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
         k=k,
         node_idx=node_idx,
         coords=coords,
-        heights=heights,
+        heights=frame[:, m:],
         du=du,
         du_norm=du_norm,
         status=status,

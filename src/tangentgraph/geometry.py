@@ -53,6 +53,14 @@ def left_product(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid_rows(axes) -> np.ndarray:
+    """Rows of the grid spanned by per-axis values, in row-major order."""
+    out = np.empty(tuple(map(len, axes)) + (len(axes),), dtype=np.result_type(*axes))
+    for d, vals in enumerate(axes):
+        out[..., d] = vals.reshape((-1,) + (1,) * (len(axes) - 1 - d))
+    return out.reshape(-1, len(axes))
+
+
 def inverse_batch(mats: np.ndarray) -> np.ndarray:
     """Inverse of every stacked m x m matrix: the adjugate over the
     determinant for m <= 2, LAPACK above."""

@@ -8,7 +8,7 @@ can only certify what it has probed, and says so.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,8 @@ class PropertyVerdict:
 def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
     """Local property check at the context's base point and radius."""
     q, r, m = ctx.base_point, ctx.radius, ctx.immersion.m
+    if not lam > 0:
+        raise ValueError("slope bound must be positive")
     try:
         region = component(ctx)
     except BoundaryEscape as exc:
@@ -100,7 +102,7 @@ def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
 
 def _check_property(f, r, lam, Q, kind, N=None) -> PropertyVerdict:
     """Witnesses in sample order, stopping at the first that does not pass."""
-    if r <= 0 or lam <= 0:
+    if not (r > 0 and lam > 0):
         raise ValueError("radius and slope bound must be positive")
     Q = list(Q)
     if not Q:
@@ -168,20 +170,10 @@ class RadiusReport:
         return self.r_hi - self.r_lo
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "kind": "unbounded" if self.unbounded else self.kind,
-            "requested_kind": self.kind,
-            "r_lo": self.r_lo,
-            "r_hi": self.r_hi,
-            "status": self.status,
-            "tol": self.tol,
-            "grid_n": self.grid_n,
-            "cap": self.cap,
-            "probes": self.probes,
-            "trace": self.trace,
-            "sample_spec": self.sample_spec,
-        }
+        out = asdict(self)
+        out["lambda"], out["requested_kind"] = out.pop("lam"), self.kind
+        out["kind"] = "unbounded" if self.unbounded else self.kind
+        return out
 
 
 def _sample_spec(f: ParamImmersion, Q) -> dict:

@@ -11,7 +11,7 @@ the steep-wiggle counterexample for graphs over freely chosen lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import (Inconclusive, InvalidParams, PreconditionViolated,
 from .extractor import (  # noqa: F401
     FrameContext,
     _extract_on_region,
-    _grid_rows,
     _per_chart,
     _solve_batch,
     _solve_lattice,
@@ -30,7 +29,7 @@ from .extractor import (  # noqa: F401
     component,
     norms,
 )
-from .geometry import (Subspace, _orthonormalize_batch, _singular_extremes,
+from .geometry import (Subspace, _grid_rows, _orthonormalize_batch, _singular_extremes,
                        graph_matrix_from_probes, left_product, row_norm)
 from .radius import (
     KIND_C0,
@@ -74,14 +73,10 @@ class TheoremVerdict:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "cap": self.cap,
-            "r0": self.r0.to_dict(),
-            "r1_scaled": self.r1_scaled.to_dict(),
-            "margin": self.margin,
-            "holds": self.holds,
-        }
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        out["r0"], out["r1_scaled"] = self.r0.to_dict(), self.r1_scaled.to_dict()
+        return out
 
 
 def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
@@ -275,7 +270,7 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     ctx2 = FrameContext(f, q, ctx.iso, 2.2 * rho)
     region = component(ctx2)
     lo = all_idx.min(axis=0)
-    node_map, solved, p_chart, p_coords, _ = _solve_lattice(
+    node_map, solved, p_chart, p_coords, frame = _solve_lattice(
         ctx2, region, all_idx - lo, all_idx * delta, -lo,
         tuple(all_idx.max(axis=0) - lo + 1),
     )
@@ -283,7 +278,6 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
         raise PreconditionViolated(
             f"could not locate the parameter under node {all_idx[~solved][0] * delta}"
         )
-    frame = _per_chart(ctx.frame_coords, p_chart, p_coords)
     base_rows = node_map[tuple((base_idx - lo).T)]
     probe_rows = node_map[tuple((probe_idx - lo).T)].reshape(-1, m)
 
@@ -348,15 +342,7 @@ class CounterexampleReport:
     angle_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "r": self.r,
-            "lambda_gen": self.lambda_gen,
-            "min_over_angles_max_slope": self.min_over_angles_max_slope,
-            "verdict": self.verdict,
-            "angle_count": self.angle_count,
-        }
+        return asdict(self)
 
 
 def analyze_counterexample(eps: float, delta: float, r: float,
@@ -374,7 +360,7 @@ def analyze_counterexample(eps: float, delta: float, r: float,
     Slope and fold structure are periodic in the parameter, so one finely
     sampled period decides each angle (the window spans many periods).
     """
-    if eps < 0 or delta <= 0 or r <= 0:
+    if not (eps >= 0 and delta > 0 and r > 0):
         raise InvalidParams("need eps >= 0, delta > 0, r > 0")
     if delta > r / 100.0:
         raise InvalidParams("the oscillation period must be well below r")

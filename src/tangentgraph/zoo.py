@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParams, RankDeficient, UnknownEntry
-from .geometry import Isometry, Subspace, _singular_extremes
+from .geometry import Isometry, Subspace, _grid_rows, _orthonormalize_batch, _singular_extremes
 
 RANK_TOL = 1e-8
 
@@ -111,6 +111,8 @@ class ParamImmersion:
         p = ParamPoint(chart, coords)
         if not (0 <= chart < len(self.charts)):
             raise InvalidParams(f"chart index {chart} out of range")
+        if not np.isfinite(p.coords).all():
+            raise InvalidParams(f"coords {p.coords} are not finite")
         if not bool(self.charts[chart].contains(p.coords)):
             raise InvalidParams(f"coords {p.coords} outside chart {chart}")
         return p
@@ -139,8 +141,7 @@ class ParamImmersion:
                     axes.append(lo + (hi - lo) * np.arange(per_axis) / per_axis)
                 else:
                     axes.append(np.linspace(lo, hi, per_axis))
-            mesh = np.meshgrid(*axes, indexing="ij")
-            coords = np.stack([g.ravel() for g in mesh], axis=-1)
+            coords = _grid_rows(axes)
             yield ci, coords[chart.contains(coords)]
 
     def sample_points(self, per_axis: int) -> list:
@@ -180,7 +181,7 @@ def tangent_space(f: ParamImmersion, p: ParamPoint) -> Subspace:
         raise RankDeficient(
             f"Jacobian nearly rank-deficient at {p} (sigma_min={smin:.3e})"
         )
-    return Subspace.from_span(jac)
+    return Subspace(_orthonormalize_batch(jac))
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,10 @@ def _integer(params, key) -> int:
     return int(value)
 
 
-def _cube_chart(m: int, half: float, window: float, ev, jac) -> Chart:
+def _cube_chart(m: int, half: float, window: float, ev, jac, periodic=(), inside=None) -> Chart:
     """The box [-half, half]^m, sampled on [-window, window]^m."""
     return Chart(lo=-half * np.ones(m), hi=half * np.ones(m), eval=ev, jacobian=jac,
+                 periodic=periodic, inside=inside,
                  sample_lo=-window * np.ones(m), sample_hi=window * np.ones(m))
 
 
@@ -252,13 +254,7 @@ def _build_circle(params) -> ParamImmersion:
         t = x[..., 0]
         return np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=-1)[..., None]
 
-    chart = Chart(
-        lo=np.array([-math.pi]),
-        hi=np.array([math.pi]),
-        eval=ev,
-        jacobian=jac,
-        periodic=(True,),
-    )
+    chart = _cube_chart(1, math.pi, math.pi, ev, jac, periodic=(True,))
     return ParamImmersion("circle", dict(params), 1, 2, [chart])
 
 
@@ -294,13 +290,7 @@ def _build_sphere2(params) -> ParamImmersion:
         def inside(x):
             return x[..., 0] ** 2 + x[..., 1] ** 2 < cap**2
 
-        return Chart(
-            lo=-cap * np.ones(2),
-            hi=cap * np.ones(2),
-            eval=ev,
-            jacobian=jac,
-            inside=inside,
-        )
+        return _cube_chart(2, cap, cap, ev, jac, inside=inside)
 
     for axis, sign in axes_signs:
         charts.append(make(axis, sign))
@@ -345,13 +335,7 @@ def _build_torus(params) -> ParamImmersion:
         out[..., 2, 1] = minor * cos_ph
         return out
 
-    chart = Chart(
-        lo=np.array([-math.pi, -math.pi]),
-        hi=np.array([math.pi, math.pi]),
-        eval=ev,
-        jacobian=jac,
-        periodic=(True, True),
-    )
+    chart = _cube_chart(2, math.pi, math.pi, ev, jac, periodic=(True, True))
     return ParamImmersion("torus", dict(params), 2, 3, [chart])
 
 
@@ -500,7 +484,7 @@ def transform_immersion(f: ParamImmersion, iso: Isometry) -> ParamImmersion:
 
 def scale_immersion(f: ParamImmersion, c: float) -> ParamImmersion:
     """The immersion c * f (same parameter domain, scaled image)."""
-    if c <= 0:
+    if not c > 0:
         raise InvalidParams("scale factor must be positive")
     return _map_image(
         f,

@@ -607,6 +607,32 @@ class TestTypedConfig:
         assert err.startswith("error: cannot read config file") and err.count("\n") == 1
 
 
+CIRCLE = ["--immersion", "circle"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["radii", "--kind", "c1", *CIRCLE, "--lambda", "nan"], "must be positive"),
+    (["verify", "theorem", *CIRCLE, "--lambda", "nan"], "must be positive"),
+    (["verify", "inclusion", *CIRCLE, "--lambda", "nan", "--r", "0.09", "--q", "0.3"],
+     "must be positive"),
+    (["verify", "du-cert", *CIRCLE, "--lambda", "nan", "--r", "1.9e-5"], "must be positive"),
+    (["counterexample", "--eps", "nan", "--delta", "1e-7", "--r", "0.2"], "need eps >= 0"),
+    (["verify", "distance", *CIRCLE, "--lambda", "0.1", "--r", "0.19", "--q", "nan"],
+     "coords [nan] are not finite"),
+    (["zoo", "list", "--out", "{missing}/x.json"], "{missing}/x.json"),
+    (["extract", *CIRCLE, "--r", "0.5", "--grid", "16", "--out", "{missing}/x.csv"],
+     "{missing}/x.csv"),
+])
+def test_nan_input_and_unwritable_output_are_invalid(tmp_path, capsys, args, message):
+    # NaN fails every positivity and finiteness test; an --out that cannot
+    # be opened is named instead of ending in a traceback
+    missing = tmp_path / "no" / "such"
+    code, out, err = run([a.format(missing=missing) for a in args], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message.format(missing=missing) in err
+
+
 def test_readme_cli_examples_parse():
     """Every command line in README's CLI section parses; none is run."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

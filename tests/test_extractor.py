@@ -711,7 +711,7 @@ def fancy_index_solve_lattice(ctx, region, node_idx, coords, center, shape):
     node_map = np.full(shape, -1, dtype=np.int64)
     node_map[tuple(node_idx.T)] = np.arange(P)
     lvl = np.abs(node_idx - center).max(axis=1)
-    heights, p_chart = np.zeros((P, k)), np.zeros(P, dtype=np.int64)
+    heights, p_chart = np.zeros((P, m + k)), np.zeros(P, dtype=np.int64)
     p_coords, solved = np.zeros((P, m)), np.zeros(P, dtype=bool)
     bw = max(1.0, max(shape) / 4.0)
     block_of = np.floor(lvl / bw).astype(np.int64)

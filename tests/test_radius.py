@@ -107,6 +107,17 @@ class TestPropertyChecks:
         assert v.reason == "vertical node"
         assert math.isinf(v.witnesses[0].lip)
 
+    def test_nan_inputs_are_refused(self, circle, circle_q):
+        # a NaN fails the positivity and finiteness tests instead of passing them
+        with pytest.raises(ValueError, match="slope bound must be positive"):
+            tg.is_r_lambda(circle, 0.3, math.nan, circle_q)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            tg.FrameContext.at(circle, circle_q[0], math.nan)
+        with pytest.raises(tg.InvalidParams, match="not finite"):
+            circle.point(0, [math.nan])
+        with pytest.raises(tg.InvalidParams, match="scale factor"):
+            tg.scale_immersion(circle, math.nan)
+
     def test_boundary_escape_is_inconclusive(self):
         g = tg.zoo_build("graph_of", {"m": 1, "coeff": 1.0, "extent": 1.05,
                                       "window": 1.0})

@@ -40,6 +40,25 @@ def certifier_lattice(f, q, r, s):
     return ctx, nodes * delta, solution
 
 
+def test_report_keys_are_pinned():
+    # to_dict builds on dataclasses.asdict: a new field must not enter a
+    # report unnoticed
+    rep = tg.RadiusReport(0.5, tg.KIND_C1, 0.1, 0.2, "bracketed", 1e-3, 256, {})
+    assert set(rep.to_dict()) == {"lambda", "kind", "requested_kind", "r_lo", "r_hi",
+                                  "status", "tol", "grid_n", "cap", "probes", "trace",
+                                  "sample_spec"}
+    verdict = tg.TheoremVerdict(1e-5, 1e-5, rep, rep, 0.1, True).to_dict()
+    assert set(verdict) == {"lambda", "cap", "r0", "r1_scaled", "margin", "holds"}
+    assert verdict["r0"] == verdict["r1_scaled"] == rep.to_dict()
+    cert = tg.CertifiedDuBound(0.1, [(np.zeros(1), 0.0, 0.0)], 1e-3)
+    assert set(cert.to_dict()) == {"rho", "global_bound", "nodes", "max_certified",
+                                   "max_actual"}
+    counter = tg.CounterexampleReport(1e-6, 1e-7, 0.2, 1e-5, 62.8, True, 4097)
+    assert set(counter.to_dict()) == {"epsilon", "delta", "r", "lambda_gen",
+                                      "min_over_angles_max_slope", "verdict",
+                                      "angle_count"}
+
+
 def edge_line(extent):
     """A straight line whose parameter domain ends at +-extent."""
     return tg.zoo_build("graph_of", {"m": 1, "coeff": 0.0, "extent": extent,
