@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,11 +82,18 @@ def inverse_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def _is_orthonormal(b: np.ndarray) -> bool:
-    """Whether every entry of ``B^T B - I`` is at most ``ORTHONORMAL_TOL``
-    in absolute value (False for NaN)."""
-    gram = b.T @ b
-    gram.flat[::gram.shape[0] + 1] -= 1.0
+    """Whether every entry of ``B^T B - I``, for each stacked (..., n, m) B,
+    is at most ``ORTHONORMAL_TOL`` in absolute value (False for NaN)."""
+    gram = np.swapaxes(b, -1, -2) @ b - np.eye(b.shape[-1])
     return bool(np.abs(gram).max(initial=0.0) <= ORTHONORMAL_TOL)
+
+
+def _check_bases(b: np.ndarray, ndim: int):
+    """Raise ValueError unless b stacks n x m orthonormal bases, n >= m >= 1."""
+    if b.ndim != ndim or b.shape[-2] < b.shape[-1] or b.shape[-1] < 1:
+        raise ValueError(f"basis must be n x m with n >= m >= 1, got {b.shape}")
+    if not _is_orthonormal(b):
+        raise ValueError("basis columns are not orthonormal")
 
 
 def _singular_extremes(mat: np.ndarray):
@@ -167,11 +175,24 @@ class Subspace:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] < b.shape[1] or b.shape[1] < 1:
-            raise ValueError(f"basis must be n x m with n >= m >= 1, got {b.shape}")
-        if not _is_orthonormal(b):
-            raise ValueError("basis columns are not orthonormal")
+        _check_bases(b, 2)
         object.__setattr__(self, "basis", b)
+
+    @classmethod
+    def stack(cls, bases) -> list:
+        """One subspace per basis of a (B, n, m) stack: the stack is checked
+        for orthonormality and its graph matrices computed in one pass."""
+        b = np.asarray(bases, dtype=float)
+        _check_bases(b, 3)
+        out = [object.__new__(cls) for _ in b]  # checked above, as a whole
+        for e, basis, graph in zip(out, b, _graph_results(b)):
+            e.__dict__.update(basis=basis, graph=graph)  # graph fills the cache
+        return out
+
+    @cached_property
+    def graph(self) -> GraphMatrixResult | None:
+        """Slope matrix over R^m x {0}, or None when vertical; computed once."""
+        return _graph_results(self.basis[None])[0]
 
     @property
     def ambient_dim(self) -> int:
@@ -342,16 +363,19 @@ def random_rotation(n: int, rng) -> np.ndarray:
     return q
 
 
-def subspace_graph_matrix(e: Subspace) -> GraphMatrixResult | None:
-    """Slope matrix of a subspace over R^m x {0}, or None when vertical.
+def _graph_results(bases: np.ndarray) -> list:
+    """GraphMatrixResult per stacked basis from one ``graph_slopes`` call, or
+    None where it is vertical; each norm has the bits of ``matrix_norm``."""
+    slope, vertical = graph_slopes(bases)
+    norms = np.sqrt((slope * slope).reshape(len(slope), -1).sum(axis=-1))
+    return [None if v else GraphMatrixResult(matrix=a, norm=float(norm))
+            for a, v, norm in zip(slope, vertical, norms)]
 
-    The subspace is a graph exactly when the top m x m block of its basis
-    has full rank; this is the one-row case of ``graph_slopes``.
-    """
-    slope, vertical = graph_slopes(e.basis[None])
-    if vertical[0]:
-        return None
-    return GraphMatrixResult(matrix=slope[0], norm=matrix_norm(slope[0]))
+
+def subspace_graph_matrix(e: Subspace) -> GraphMatrixResult | None:
+    """Slope matrix of a subspace over R^m x {0}, or None when vertical (the
+    top m x m block of its basis is rank-deficient): its cached ``graph``."""
+    return e.graph
 
 
 def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult:
@@ -390,7 +414,7 @@ def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult
             index=j)
     if good < m:
         raise ValueError(f"probe {good} has wrong ambient dimension")
-    result = subspace_graph_matrix(e)
+    result = e.graph
     if result is None:
         # Unreachable when the hypothesis holds; flag the construction.
         raise PreconditionViolated("probes valid but subspace is vertical", index=-1)

@@ -237,15 +237,15 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     continuation over their node lattice, outward from the base point in
     Chebyshev rings as extraction solves its grid; a node it cannot reach
     raises PreconditionViolated naming the node.  The tangent planes at
-    all nodes are computed in one batch (a nearly rank-deficient Jacobian
-    raises RankDeficient naming the node), the shifted images are
-    projected orthogonally onto the affine tangent plane at the point
-    under x, and the normalized projections feed the probe-point slope
-    certificate with L = 8^-3 m^-1.5 lam / cap.  All computations happen in
-    the base-point frame.  The certified value at a node is the slope norm
-    of its plane once the probe hypothesis has passed.  The certificate
-    must succeed at every node when lam is below the threshold; a failed
-    probe hypothesis is reported with its node and axis.
+    all nodes are computed, checked and sloped in one batch (a nearly
+    rank-deficient Jacobian raises RankDeficient naming the node), the
+    shifted images are projected orthogonally onto the affine tangent
+    plane at the point under x, and the normalized projections feed the
+    per-node probe-point certificate with L = 8^-3 m^-1.5 lam / cap.  All
+    computations happen in the base-point frame.  The certified value at a
+    node is the slope norm of its plane once its probes have passed.  The
+    certificate must succeed at every node when lam is below the threshold;
+    a failed probe hypothesis is reported with its node and axis.
     """
     m = f.m
     cap = _height_cap(m, lam)
@@ -293,10 +293,11 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     coef = np.einsum("bnl,bjn->bjl", framed, shift)
     probes = np.einsum("bnl,bjl->bjn", framed, coef) / rho_eff
 
+    planes = Subspace.stack(framed)
     per_node = []
     for i, x in enumerate(base_idx * delta):
         try:
-            cert = graph_matrix_from_probes(Subspace(framed[i]), probes[i], bound_l)
+            cert = graph_matrix_from_probes(planes[i], probes[i], bound_l)
         except PreconditionViolated as exc:
             raise ProbeHypothesisFailed(
                 node=x, probe_index=exc.index,

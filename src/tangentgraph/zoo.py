@@ -343,6 +343,7 @@ def _build_helix(params) -> ParamImmersion:
     pitch = float(params["pitch"])
     window = float(params["window"])
     margin = float(params["margin"])
+    _require(math.isfinite(pitch), f"helix pitch must be finite, got {pitch}")
     _require(window > 0 and margin > 0, "helix needs window > 0 and margin > 0")
 
     def ev(x):
@@ -375,6 +376,7 @@ def _build_graph_of(params) -> ParamImmersion:
              "graph_of takes height and height_grad together")
     if height is None:
         coeff = float(params["coeff"])
+        _require(math.isfinite(coeff), f"graph_of coeff must be finite, got {coeff}")
 
         def height(x):
             return 0.5 * coeff * (x * x).sum(axis=-1)

@@ -633,6 +633,16 @@ def test_nan_input_and_unwritable_output_are_invalid(tmp_path, capsys, args, mes
     assert message.format(missing=missing) in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("immersion,flag", [("helix", "pitch"), ("graph_of", "coeff")])
+def test_non_finite_shape_parameter_is_named(capsys, immersion, flag, value):
+    code, out, err = run(["radii", "--kind", "c1", "--immersion", immersion,
+                          f"--{flag}", value, "--lambda", "0.5", "--samples", "1"],
+                         capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: {immersion} {flag} must be finite, got {value}\n"
+
+
 def test_readme_cli_examples_parse():
     """Every command line in README's CLI section parses; none is run."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

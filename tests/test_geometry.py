@@ -264,6 +264,51 @@ class TestSubspaceGraphMatrix:
         assert subspace_graph_matrix(e) is None
 
 
+class TestSubspaceStack:
+    @staticmethod
+    def mixed_stack(m, k, rng):
+        """Six orthonormal n x m bases; every other one is vertical, its
+        first column the last axis of R^n."""
+        n = m + k
+        span = rng.standard_normal((6, n, m))
+        span[1::2, :, 0] = np.eye(n)[-1]
+        return _orthonormalize_batch(span)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_matches_per_basis_construction_bit_for_bit(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        bases = self.mixed_stack(m, k, rng)
+        stacked = Subspace.stack(bases)
+        assert len(stacked) == len(bases)
+        for i, (e, basis) in enumerate(zip(stacked, bases)):
+            single = Subspace(basis)
+            assert np.array_equal(e.basis, single.basis)
+            if i % 2:
+                assert e.graph is None and single.graph is None
+                assert subspace_graph_matrix(e) is None
+                continue
+            assert np.array_equal(e.graph.matrix, single.graph.matrix)
+            assert e.graph.norm == single.graph.norm == matrix_norm(single.graph.matrix)
+            assert subspace_graph_matrix(e) is e.graph
+
+    def test_non_orthonormal_basis_in_a_stack_is_refused(self):
+        bases = self.mixed_stack(2, 2, np.random.default_rng(5))
+        bases[3, 0, 1] += 1e-6
+        with pytest.raises(ValueError) as single:
+            Subspace(bases[3])
+        with pytest.raises(ValueError) as stacked:
+            Subspace.stack(bases)
+        assert str(stacked.value) == str(single.value)
+
+    def test_diagonal_error_of_2e_10_is_refused_either_way(self):
+        basis = np.array([[1.0 + 1e-10], [0.0]])  # B^T B - 1 = 2e-10
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(basis)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace.stack(np.stack([np.array([[1.0], [0.0]]), basis]))
+
+
 def _reference_probe_checks(e, probes, L):
     """The per-probe hypothesis check, one probe at a time: the first
     failure raises, a probe's distance off the subspace before its distance

@@ -286,6 +286,19 @@ class TestDuCertifier:
         with pytest.raises(PreconditionViolated):
             tg.certify_du_bound(circle, circle.point(0, [0.0]), 0.1, 0.5)
 
+    def test_stacked_planes_match_per_node_planes(self, circle, sphere, monkeypatch):
+        # the sphere case is the m = 2 cap at the bench's 12 nodes per rho,
+        # at a point without the symmetry that hides a reordered stack
+        cases = [(sphere, sphere.point(0, [0.1, -0.2]), 4e-6, 2.5e-6, 12),
+                 (circle, circle.point(0, [0.0]), 1.9e-5, 1e-5, 4)]
+        stacked = [repr(tg.certify_du_bound(f, q, r, lam, nodes_per_rho=s))
+                   for f, q, r, lam, s in cases]
+        monkeypatch.setattr(tg.Subspace, "stack",
+                            classmethod(lambda cls, bases: [cls(b) for b in bases]))
+        per_node = [repr(tg.certify_du_bound(f, q, r, lam, nodes_per_rho=s))
+                    for f, q, r, lam, s in cases]
+        assert stacked == per_node
+
     def test_rejects_one_node_per_rho_before_the_witness(self, circle, monkeypatch):
         def require(*args, **kwargs):
             raise AssertionError("nodes_per_rho must be checked first")
