@@ -3,7 +3,8 @@
 Pipeline: pick a base point and an admissible isometry, flood-fill the
 connected parameter-space component whose frame projection stays inside
 the ball of the working radius, then solve for the graph heights on a
-regular grid by continuation outward from the center.  Derivatives come
+regular grid in one Newton batch, each node seeded by a predictor step
+from the region cell whose projection lies near it.  Derivatives come
 from the exact tangent space at each solved parameter, not from height
 differencing.
 
@@ -56,19 +57,26 @@ class FrameContext:
     iso: Isometry
     radius: float
 
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
+        self.radius = float(self.radius)
+
     @classmethod
     def at(cls, immersion: ParamImmersion, q: ParamPoint, r: float,
            iso: Isometry = None) -> "FrameContext":
         """Context with the canonical admissible isometry unless one is given."""
-        if not r > 0:
-            raise ValueError("radius must be positive")
         plane = tangent_space(immersion, q)
         base = immersion.eval(q)
         if iso is None:
             iso = make_admissible_isometry(base, plane)
         elif not is_admissible(iso, base, plane):
             raise ValueError("provided isometry is not admissible at the base point")
-        return cls(immersion, q, iso, float(r))
+        return cls(immersion, q, iso, r)
+
+    def with_radius(self, r: float) -> "FrameContext":
+        """The same base point and frame at radius r."""
+        return FrameContext(self.immersion, self.base_point, self.iso, r)
 
     def frame_coords(self, chart: int, coords) -> np.ndarray:
         """Ambient points of a chart batch expressed in the base frame."""
@@ -83,6 +91,7 @@ class _CellBlock:
     u: np.ndarray        # (C, k) frame heights of the centers
     sigma: np.ndarray    # (C,) largest Jacobian singular value at the centers
     scale: np.ndarray    # (C,) image width bound sigma_max(J diag(cell size)) there
+    jac: np.ndarray      # (C, n, m) Jacobians at the centers
 
 
 def _cell_index(chart, size, coords) -> np.ndarray:
@@ -350,7 +359,8 @@ def _flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
         jac = f.jacobian_chart(ci, center_kept)
         sig, _ = _singular_extremes(jac)
         scale, _ = _singular_extremes(jac * size)
-        block = _CellBlock(idx.take(pick, axis=0), center_kept, y[:, :m], y[:, m:], sig, scale)
+        block = _CellBlock(idx.take(pick, axis=0), center_kept, y[:, :m], y[:, m:], sig, scale,
+                           jac)
         return lo, window, center.compress(keep & near.ravel(), axis=0), block
 
     base = ctx.base_point
@@ -639,8 +649,8 @@ class NormEstimates:
 def extract(ctx: FrameContext, N: int, h: float = None) -> GraphSample:
     """Graph sample over the working ball on an N-per-axis grid.
 
-    Nodes are solved by continuation outward from the center in blocks of
-    N/4 Chebyshev rings, each node seeded from a solved node further in.
+    Nodes are solved in one Newton batch, each seeded one predictor step
+    from a region cell whose frame projection lies within about r/32 of it.
     Status semantics: multi_sheet when two separated region cells land in one
     grid cell, vertical when the tangent space has no slope matrix in the
     frame, uncovered when the solve failed or never reached the node.
@@ -651,71 +661,52 @@ def extract(ctx: FrameContext, N: int, h: float = None) -> GraphSample:
     return _extract_on_region(ctx, region, N)
 
 
-def _solve_lattice(ctx: FrameContext, region: ComponentRegion, node_idx,
-                   coords, center, shape):
-    """Solve the nodes node_idx of a lattice of the given shape, targets
-    coords, by continuation outward from center in blocks of
-    max(1, max(shape) / 4) Chebyshev rings.  A block's rows are seeded
-    from the base point in the first block and otherwise from the solved
-    node nearest their radial projection onto the ring just inside the
-    block; rows that fail stay unsolved.
+def _solve_nodes(ctx: FrameContext, region: ComponentRegion, targets):
+    """Solve the frame projections targets in one Newton batch, each row
+    seeded one Euler predictor step from a region cell under it.
 
-    Returns (node_map, solved, p_chart, p_coords, frame), frame coords per node.
+    The cells' projections are binned on a grid of spacing r/32 over the
+    ball.  A bin holds its first cell in row order; an empty bin takes its
+    neighbour's, axis by axis in a fixed order, until every target's bin
+    holds one.  A row starts at its bin's cell center p, moved by
+    (P J)^-1 (x - x_cell) with the cell's stored Jacobian J projected onto
+    the frame (Allgower & Georg's predictor) and kept in the chart; a
+    singular P J leaves it at p.  Rows that fail stay unsolved.
+
+    Returns (solved, p_chart, p_coords, frame), zero on unsolved rows.
     """
-    m = node_idx.shape[1]
-    P = len(node_idx)
-    hi = np.asarray(shape) - 1
-    node_map = np.full(shape, -1, dtype=np.int64)
-    node_map.put(_flat_index(node_idx, shape), np.arange(P))
+    f = ctx.immersion
+    m, r = f.m, ctx.radius
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    blocks = region.blocks.values()
+    shape = (64,) * m
 
-    center = np.broadcast_to(center, (m,))
-    lvl = np.maximum.reduce([np.abs(node_idx[:, d] - center[d]) for d in range(m)])
-    frame = np.zeros((P, ctx.immersion.n))
-    p_chart = np.zeros(P, dtype=np.int64)
-    p_coords = np.zeros((P, m))
-    solved = np.zeros(P, dtype=bool)
+    def bin_of(x):
+        return _flat_index(np.floor((x + r) * (32 / r)).clip(0, 63).astype(np.int64), shape)
 
-    bw = max(1.0, max(shape) / 4.0)
-    block_of = np.floor(lvl / bw).astype(np.int64)
+    keys, first = np.unique(bin_of(np.concatenate([b.x for b in blocks])), return_index=True)
+    cell = np.full(shape, -1, dtype=np.int64)
+    cell.put(keys, first)
+    want = bin_of(targets)
+    while (cell.take(want) < 0).any():
+        for d in range(m):
+            for s in (1, -1):
+                near = np.roll(cell, s, axis=d)
+                near[(slice(None),) * d + ((0 if s == 1 else -1),)] = -1
+                cell = np.where(cell < 0, near, cell)
+    rows = cell.take(want)
 
-    for b in np.flatnonzero(np.bincount(block_of)):
-        rows = np.flatnonzero(block_of == b)
-        if b == 0:
-            seeds_c = np.full(len(rows), ctx.base_point.chart, dtype=np.int64)
-            seeds_x = np.tile(ctx.base_point.coords, (len(rows), 1))
-            solve_rows = rows
-        else:
-            # Radial projection onto the outer solved ring, with a short
-            # walk toward the center as fallback.
-            scale = (b * bw - 0.5) / np.maximum(lvl.take(rows), 1e-12)
-            proj = np.empty((len(rows), m), dtype=np.int64)
-            for d in range(m):
-                ray = center[d] + (node_idx[:, d].take(rows) - center[d]) * scale
-                proj[:, d] = np.clip(np.rint(ray), 0, hi[d])
-            for _ in range(int(2 * bw) + 5):
-                seed_ids = node_map.take(_flat_index(proj, shape))
-                good = (seed_ids >= 0) & solved.take(seed_ids, mode="clip")
-                if good.all():
-                    break
-                stuck = ~good
-                move = np.sign(center - proj[stuck]).astype(np.int64)
-                proj[stuck] = np.clip(proj[stuck] + move, 0, hi)
-            solve_rows = rows.compress(good)
-            if len(solve_rows) == 0:
-                continue
-            seeds = seed_ids.compress(good)
-            seeds_c = p_chart.take(seeds)
-            seeds_x = p_coords.take(seeds, axis=0)
-        st, cc, px, yy = _solve_batch(
-            ctx, region, coords.take(solve_rows, axis=0), seeds_c, seeds_x
-        )
-        ok = st == _SOLVE_OK
-        done = solve_rows.compress(ok)
-        solved[done] = True
-        frame[done] = yy.compress(ok, axis=0)
-        p_chart[done] = cc.compress(ok)
-        p_coords[done] = px.compress(ok, axis=0)
-    return node_map, solved, p_chart, p_coords, frame
+    chart = np.concatenate([np.full(len(b.idx), c) for c, b in region.blocks.items()]).take(rows)
+    center, x, jac = (np.concatenate([getattr(b, a) for b in blocks]).take(rows, axis=0)
+                      for a in ("center", "x", "jac"))
+    step, _ = _solve_linear(left_product(ctx.iso.rotation.T[:m], jac), targets - x)
+    seeds = _per_chart(lambda c, pair: _constrain(f.charts[c], pair[:, 0], pair[:, 1]),
+                       chart, np.stack([center, center + step], axis=1))
+    status, p_chart, p_coords, frame = _solve_batch(ctx, region, targets, chart, seeds)
+    solved = status == _SOLVE_OK
+    for out in (p_chart, p_coords, frame):
+        out[~solved] = 0
+    return solved, p_chart, p_coords, frame
 
 
 def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
@@ -730,12 +721,11 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     coords = coords_all.compress(keep, axis=0)
     node_idx = idx_all.compress(keep, axis=0)
     P = len(coords)
+    node_map = np.full(len(keep), -1, dtype=np.int64)
+    node_map[keep] = np.arange(P)
 
-    node_map, solved, p_chart, p_coords, frame = _solve_lattice(
-        ctx, region, node_idx, coords, (N - 1) / 2.0, (N,) * m
-    )
-    status = np.full(P, STATUS_UNCOVERED, dtype=np.int8)
-    status[solved] = STATUS_OK
+    solved, p_chart, p_coords, frame = _solve_nodes(ctx, region, coords)
+    status = np.where(solved, STATUS_OK, STATUS_UNCOVERED).astype(np.int8)
 
     # Exact derivatives from the tangent space at each solved parameter.
     du = np.full((P, k, m), np.nan)

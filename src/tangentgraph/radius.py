@@ -100,17 +100,22 @@ def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
     raise ValueError(f"unknown property kind {kind!r}")
 
 
-def _check_property(f, r, lam, Q, kind, N=None) -> PropertyVerdict:
-    """Witnesses in sample order, stopping at the first that does not pass."""
+def _check_property(f, r, lam, Q, kind, N=None, frames=None) -> PropertyVerdict:
+    """Witnesses in sample order, stopping at the first that does not pass;
+    frames, when given, keeps each base point's FrameContext for any radius."""
     if not (r > 0 and lam > 0):
         raise ValueError("radius and slope bound must be positive")
     Q = list(Q)
     if not Q:
         raise ValueError("the sample of base points is empty")
     N = _grid(N, f.m)
+    frames = {} if frames is None else frames
     witnesses = []
     for q in Q:
-        w = _witness_at(FrameContext.at(f, q, r), lam, kind, N)
+        key = (q.chart, q.coords.tobytes())
+        if key not in frames:
+            frames[key] = FrameContext.at(f, q, r)
+        w = _witness_at(frames[key].with_radius(r), lam, kind, N)
         witnesses.append(w)
         if w.status != "pass":
             return PropertyVerdict(
@@ -227,9 +232,10 @@ def max_radius(f: ParamImmersion, lam: float, kind: str, Q, tol: float = 1e-3,
     spec = _sample_spec(f, Q)
     order = list(range(len(Q)))  # checking order; the last failure first
     passed, failed, trace = {}, {}, []  # passed/failed: radius -> measure
+    frames = {}  # one FrameContext per base point, built at its first probe
 
     def passes(r: float) -> bool:
-        verdict = _check_property(f, r, lam, [Q[i] for i in order], kind, N)
+        verdict = _check_property(f, r, lam, [Q[i] for i in order], kind, N, frames)
         if verdict.inconclusive:
             raise Inconclusive(
                 f"property check inconclusive at r={r:.6g}: {verdict.reason}"

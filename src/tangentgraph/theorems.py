@@ -24,7 +24,7 @@ from .extractor import (  # noqa: F401
     _extract_on_region,
     _per_chart,
     _solve_batch,
-    _solve_lattice,
+    _solve_nodes,
     _write_csv,
     component,
     norms,
@@ -84,7 +84,9 @@ def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
     """Measure r0 at the height bound and r1 at the lifted slope bound.
 
     Holds when the scaled slope radius reaches the height radius up to the
-    combined bracket widths.  Unbounded sentinels compare as infinite.
+    combined bracket widths.  Unbounded sentinels compare as infinite.  A
+    none_passing radius is known only to lie below its r_hi: the verdict
+    holds when r0.r_hi <= r1.r_lo and is otherwise Inconclusive.
     """
     cap = _height_cap(f.m, lam)
     r0 = max_radius(f, lam, KIND_C0, Q, tol=tol, N=N)
@@ -95,6 +97,13 @@ def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
     elif r0.unbounded:
         margin = float("-inf")
         holds = False
+    elif "none_passing" in (r0.status, r1.status):
+        if r0.r_hi > r1.r_lo:
+            names = [n for n, rep in (("r0", r0), ("r1", r1)) if rep.status == "none_passing"]
+            raise Inconclusive(f"{' and '.join(names)} none_passing: the property fails at the "
+                               f"initial radius {min(r0.r_hi, r1.r_hi):.6g}, so the radius "
+                               "was not measured")
+        margin, holds = r1.r_lo - r0.r_hi, True
     else:
         margin = r1.r_lo - r0.r_hi
         holds = margin >= -(r0.width() + r1.width())
@@ -158,7 +167,7 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
         raise ValueError("need 0 < rho <= r")
     ctx = FrameContext.at(f, q, r)
     _require(ctx, lam, KIND_C0, N)
-    region = component(FrameContext(f, q, ctx.iso, float(rho)))
+    region = component(ctx.with_radius(rho))
     fq = f.eval(q)
     bound = rho + r * lam
     slack = region.scale_max
@@ -184,7 +193,7 @@ def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> b
         raise PreconditionViolated(f"slope bound {lam:.6g} exceeds 1/10")
     ctx = FrameContext.at(f, q, r)
     _require(ctx, lam, KIND_C1)
-    region_q = component(FrameContext(f, q, ctx.iso, 0.4 * r))
+    region_q = component(ctx.with_radius(0.4 * r))
     charts = np.concatenate([np.full(len(b.center), c) for c, b in region_q.blocks.items()])
     centers = np.concatenate([b.center for b in region_q.blocks.values()])
     for i in _subsample(len(centers), INCLUSION_POINTS):
@@ -233,10 +242,10 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     """Certify the slope bound on the fifth-radius ball via probe points.
 
     For each grid point x of the inner ball, the parameters under x and
-    under the axis-shifted points x + rho e_j are located by one
-    continuation over their node lattice, outward from the base point in
-    Chebyshev rings as extraction solves its grid; a node it cannot reach
-    raises PreconditionViolated naming the node.  The tangent planes at
+    under the axis-shifted points x + rho e_j are located by one Newton
+    batch over their nodes, seeded from the region's cells as extraction
+    solves its grid; a node it cannot reach raises PreconditionViolated
+    naming the node.  The tangent planes at
     all nodes are computed, checked and sloped in one batch (a nearly
     rank-deficient Jacobian raises RankDeficient naming the node), the
     shifted images are projected orthogonally onto the affine tangent
@@ -265,21 +274,15 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     base_idx = base_idx[row_norm(base_idx * delta) < rho]
     shifts = (s * np.eye(m, dtype=int))[None, :, :]
     probe_idx = (base_idx[:, None, :] + shifts).reshape(-1, m)
-    all_idx = np.unique(np.concatenate([base_idx, probe_idx]), axis=0)
+    all_idx, where = np.unique(np.concatenate([base_idx, probe_idx]), axis=0, return_inverse=True)
+    base_rows, probe_rows = where[:len(base_idx)], where[len(base_idx):].reshape(-1, m)
 
-    ctx2 = FrameContext(f, q, ctx.iso, 2.2 * rho)
-    region = component(ctx2)
-    lo = all_idx.min(axis=0)
-    node_map, solved, p_chart, p_coords, frame = _solve_lattice(
-        ctx2, region, all_idx - lo, all_idx * delta, -lo,
-        tuple(all_idx.max(axis=0) - lo + 1),
-    )
+    ctx2 = ctx.with_radius(2.2 * rho)
+    solved, p_chart, p_coords, frame = _solve_nodes(ctx2, component(ctx2), all_idx * delta)
     if not solved.all():
         raise PreconditionViolated(
             f"could not locate the parameter under node {all_idx[~solved][0] * delta}"
         )
-    base_rows = node_map[tuple((base_idx - lo).T)]
-    probe_rows = node_map[tuple((probe_idx - lo).T)].reshape(-1, m)
 
     # Tangent planes at every base node at once, rotated into the frame.
     jac = _per_chart(f.jacobian_chart, p_chart[base_rows], p_coords[base_rows])

@@ -169,6 +169,15 @@ class TestVerifyCommand:
         assert report["result"]["holds"] is True
         assert report["result"]["margin"] == pytest.approx(0.7071, rel=2e-2)
 
+    def test_theorem_without_a_measured_radius_is_inconclusive(self, capsys):
+        # both wiggle brackets fail at r_init, so neither radius is measured
+        code, out, err = run(["verify", "theorem", "--immersion", "wiggle",
+                              "--lambda", "1e-5"], capsys)
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert err.startswith("inconclusive: r0 and r1 none_passing")
+        assert len(err.strip().splitlines()) == 1
+
     def test_du_cert(self, capsys):
         code, out, _ = run(
             ["verify", "du-cert", "--immersion", "circle", "--R", "1",

@@ -525,7 +525,7 @@ class TestExtract:
         assert c0_exact <= est.c0 <= c0_exact + 0.5 / 256 * (lip_exact + 1e-6)
 
     def test_circle_two_sheets_at_large_radius(self, circle):
-        # the outer block leaves 22 rows unsolved
+        # the 22 nodes past |x| = 1 have no parameter under them
         sample = tg.extract(circle_ctx(circle, 1.2), 128)
         assert sample.status_counts() == {"ok": 20, "vertical": 0,
                                           "multi_sheet": 86, "uncovered": 22}
@@ -570,8 +570,7 @@ class TestExtract:
                                         ("sphere", 34), ("sphere", 130)])
     def test_reconstruction_invariant(self, circle, sphere, name, N):
         # every node is solved, and the frame of its parameter matches
-        # (x, u(x)); at N = 2 mod 4 ring seeds round onto their own unsolved
-        # ring and walk toward the centre
+        # (x, u(x)), at grids of both parities
         if name == "circle":
             ctx = circle_ctx(circle, 0.5)
         else:
@@ -634,6 +633,90 @@ class TestExtract:
         first = rows[1].split(",")
         assert float(first[0]) == pytest.approx(sample.coords[0, 0])
         assert first[2] == "ok"
+
+
+def count_newton_work(monkeypatch, f):
+    """Count _solve_batch calls and the Jacobian rows evaluated inside them."""
+    work = {"calls": 0, "rows": 0, "open": 0}
+    real_solve, real_jac = extractor._solve_batch, f.jacobian_chart
+
+    def solve(*args):
+        work["calls"] += 1
+        work["open"] += 1
+        try:
+            return real_solve(*args)
+        finally:
+            work["open"] -= 1
+
+    def jacobian_chart(chart, coords):
+        if work["open"]:
+            work["rows"] += len(np.atleast_2d(coords))
+        return real_jac(chart, coords)
+
+    monkeypatch.setattr(extractor, "_solve_batch", solve)
+    monkeypatch.setattr(f, "jacobian_chart", jacobian_chart)
+    return work
+
+
+class TestSolveNodes:
+    CASES = {  # (immersion, chart, coords, r, N)
+        "circle": ("circle", 0, [0.0], 0.7, 4096),
+        "sphere": ("sphere", 4, [0.1, 0.2], 0.3, 66),
+        "torus": ("torus", 0, [0.3, 2.0], 0.02, 65),
+        "sphere-two-charts": ("sphere", 4, [0.8, 0.1], 0.45, 66),
+    }
+
+    @pytest.fixture(scope="class")
+    def samples(self, circle, sphere, torus):
+        fs = {"circle": circle, "sphere": sphere, "torus": torus}
+        out = {}
+        for name, (f, chart, coords, r, N) in self.CASES.items():
+            f = fs[f]
+            ctx = tg.FrameContext.at(f, f.point(chart, coords), r)
+            region = tg.component(ctx)
+            out[name] = ctx, region, extractor._extract_on_region(ctx, region, N)
+        return out
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_node_lies_on_its_frame(self, samples, name):
+        ctx, region, sample = samples[name]
+        if name == "sphere-two-charts":
+            assert len(region.blocks) == 2 and len(set(sample.param_chart)) == 2
+        assert (sample.status == STATUS_OK).all()
+        framed = extractor._per_chart(ctx.frame_coords, sample.param_chart,
+                                      sample.param_coords)
+        expect = np.concatenate([sample.coords, sample.heights], axis=1)
+        assert np.abs(framed - expect).max() <= 1e-10 * max(1.0, ctx.radius)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_nodes_match_a_solve_from_the_base_point(self, samples, name):
+        ctx, region, sample = samples[name]
+        f = ctx.immersion
+        for i in tg.theorems._subsample(len(sample.coords), 25):
+            p, u = tg.solve_height(ctx, region, sample.coords[i], ctx.base_point)
+            slope = tg.Subspace(ctx.iso.rotation.T @ tg.tangent_space(f, p).basis).graph
+            assert np.abs(u - sample.heights[i]).max() <= 1e-9
+            assert np.abs(slope.matrix - sample.du[i]).max() <= 1e-9
+
+    @pytest.mark.parametrize("name,r,N,bound", [("circle", 0.7, 4096, 1.5),
+                                                ("sphere", 0.05, 129, 1.1)])
+    def test_one_batch_and_few_jacobians_per_node(self, circle, sphere, monkeypatch,
+                                                  name, r, N, bound):
+        # ring continuation took two batches and 3.14 (circle) and 2.45
+        # (sphere) Jacobian rows per node
+        f, q = {"circle": (circle, circle.point(0, [0.0])),
+                "sphere": (sphere, sphere.point(4, [0.1, 0.2]))}[name]
+        work = count_newton_work(monkeypatch, f)
+        sample = tg.extract(tg.FrameContext.at(f, q, r), N)
+        assert (sample.status == STATUS_OK).all()
+        assert work["calls"] == 1
+        assert work["rows"] <= bound * len(sample.status)
+
+    def test_seeds_are_deterministic(self, sphere):
+        ctx = tg.FrameContext.at(sphere, sphere.point(4, [0.8, 0.1]), 0.45)
+        a, b = tg.extract(ctx, 66), tg.extract(ctx, 66)
+        for field in ("heights", "du", "status", "param_chart", "param_coords"):
+            assert same_bits(getattr(a, field), getattr(b, field))
 
 
 class TestFrameIndependence:
@@ -701,54 +784,6 @@ def tuple_lookup_contains(region, chart, coords):
     return out
 
 
-def fancy_index_solve_lattice(ctx, region, node_idx, coords, center, shape):
-    """_solve_lattice as written with tuple lookups, (m,)-vector broadcasts,
-    np.unique blocks and fancy-index gathers; also returns whether a seed
-    walked toward the centre."""
-    m, k = node_idx.shape[1], ctx.immersion.k
-    P = len(node_idx)
-    hi = np.asarray(shape) - 1
-    node_map = np.full(shape, -1, dtype=np.int64)
-    node_map[tuple(node_idx.T)] = np.arange(P)
-    lvl = np.abs(node_idx - center).max(axis=1)
-    heights, p_chart = np.zeros((P, m + k)), np.zeros(P, dtype=np.int64)
-    p_coords, solved = np.zeros((P, m)), np.zeros(P, dtype=bool)
-    bw = max(1.0, max(shape) / 4.0)
-    block_of = np.floor(lvl / bw).astype(np.int64)
-    walked = False
-    for b in np.unique(block_of):
-        rows = np.nonzero(block_of == b)[0]
-        if b == 0:
-            seeds_c = np.full(len(rows), ctx.base_point.chart, dtype=np.int64)
-            seeds_x = np.tile(ctx.base_point.coords, (len(rows), 1))
-            solve_rows = rows
-        else:
-            scale = (b * bw - 0.5) / np.maximum(lvl[rows], 1e-12)
-            proj = np.rint(center + (node_idx[rows] - center) * scale[:, None])
-            proj = np.clip(proj, 0, hi).astype(np.int64)
-            for _ in range(int(2 * bw) + 5):
-                seed_ids = node_map[tuple(proj.T)]
-                good = (seed_ids >= 0) & solved[np.clip(seed_ids, 0, P - 1)]
-                if good.all():
-                    break
-                walked = True
-                stuck = ~good
-                move = np.sign(center - proj[stuck]).astype(np.int64)
-                proj[stuck] = np.clip(proj[stuck] + move, 0, hi)
-            solve_rows = rows[good]
-            if len(solve_rows) == 0:
-                continue
-            seeds = seed_ids[good]
-            seeds_c, seeds_x = p_chart[seeds], p_coords[seeds]
-        status, chart, px, hh = extractor._solve_batch(
-            ctx, region, coords[solve_rows], seeds_c, seeds_x)
-        ok = status == extractor._SOLVE_OK
-        done = solve_rows[ok]
-        solved[done] = True
-        heights[done], p_chart[done], p_coords[done] = hh[ok], chart[ok], px[ok]
-    return (node_map, solved, p_chart, p_coords, heights), walked
-
-
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -795,42 +830,6 @@ class TestGatherRewrites:
         got = extractor._window_pos(cells, lo, shape, counts, periodic)
         ref = broadcast_window_pos(cells, lo, shape, counts, periodic)
         assert all(same_bits(a, b) for a, b in zip(got, ref))
-
-    @pytest.mark.parametrize("N", [34, 66])
-    def test_lattice_matches_fancy_index_form(self, sphere, N):
-        # at N = 2 mod 4 ring seeds round onto their own unsolved ring and
-        # walk toward the centre
-        ctx = tg.FrameContext.at(sphere, sphere.point(4, [0.1, 0.2]), 0.3)
-        region = tg.component(ctx)
-        a = 0.3 * (1 - 2e-9)
-        mesh = np.meshgrid(*[np.arange(N)] * 2, indexing="ij")
-        node_idx = np.stack([g.ravel() for g in mesh], axis=-1)
-        coords = np.linspace(-a, a, N)[node_idx]
-        keep = np.linalg.norm(coords, axis=1) < 0.3 * (1 - 1e-9)
-        args = (node_idx[keep], coords[keep], (N - 1) / 2.0, (N, N))
-        ref, walked = fancy_index_solve_lattice(ctx, region, *args)
-        got = extractor._solve_lattice(ctx, region, *args)
-        assert walked and ref[1].all()
-        assert all(same_bits(x, y) for x, y in zip(got, ref))
-
-    def test_certifier_lattice_matches_fancy_index_form(self, sphere):
-        # the certifier's lattice has an integer array centre; at 3 nodes
-        # per rho its seeds walk as well
-        f, q, r, s = sphere, sphere.point(4, [0.1, 0.2]), 0.3, 3
-        delta = (r / 5.0) / s
-        mesh = np.meshgrid(*[np.arange(-(s - 1), s)] * 2, indexing="ij")
-        base = np.stack([g.ravel() for g in mesh], axis=-1)
-        base = base[np.linalg.norm(base * delta, axis=1) < r / 5.0]
-        nodes = np.unique(np.concatenate([base] + [base + s * e for e in np.eye(2, dtype=int)]),
-                          axis=0)
-        ctx = tg.FrameContext(f, q, tg.FrameContext.at(f, q, r).iso, 2.2 * r / 5.0)
-        region = tg.component(ctx)
-        lo = nodes.min(axis=0)
-        args = (nodes - lo, nodes * delta, -lo, tuple(nodes.max(axis=0) - lo + 1))
-        ref, walked = fancy_index_solve_lattice(ctx, region, *args)
-        got = extractor._solve_lattice(ctx, region, *args)
-        assert walked and ref[1].all()
-        assert all(same_bits(x, y) for x, y in zip(got, ref))
 
 
 @pytest.fixture(scope="module")

@@ -52,7 +52,7 @@ MEASURES = {
 def threshold_check(t, measure):
     """A _check_property stand-in: holds for r <= t, one witness carrying
     the modelled lip (none for the "none" measure)."""
-    def check(f, r, lam, Q, kind, N=None):
+    def check(f, r, lam, Q, kind, N=None, frames=None):
         g, holds = MEASURES[measure](r, t), r <= t
         witnesses = [] if g is None else [
             radius.Witness(Q[0], "pass" if holds else "fail", lip=g * lam)]
@@ -128,8 +128,7 @@ class TestPropertyChecks:
 class TestMaxRadius:
     def test_circle_slope_radius_closed_form(self, circle, circle_q,
                                              radius_cache):
-        # at N = 258 (2 mod 4) ring seeds round onto their own unsolved ring
-        # and walk toward the centre
+        # N = 258 puts no node at the centre
         cases = ((0.1, circle_q, 257), (0.5, circle_q, 257),
                  (0.5, circle.sample_points(per_axis=2), 258))
         for lam, Q, N in cases:
@@ -169,7 +168,7 @@ class TestMaxRadius:
     def test_non_monotone_property_aborts(self, circle, circle_q,
                                           monkeypatch):
         # holds up to 0.5 except on a band that only the spot check probes
-        def check(f, r, lam, Q, kind, N=None):
+        def check(f, r, lam, Q, kind, N=None, frames=None):
             return radius.PropertyVerdict(r <= 0.5 and not 0.25 < r < 0.35, [])
 
         monkeypatch.setattr(radius, "_check_property", check)
@@ -207,7 +206,7 @@ class TestMaxRadius:
         scale = {id(Q[0]): 0.5, id(Q[1]): 0.25, id(Q[2]): 1.0}
         evaluated = []  # (holds, witnesses evaluated) per probe
 
-        def check(f, r, lam, Q_, kind, N=None):
+        def check(f, r, lam, Q_, kind, N=None, frames=None):
             witnesses = []
             for q in Q_:
                 ok = q is not Q[2] or r <= 0.3

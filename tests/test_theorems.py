@@ -32,11 +32,8 @@ def certifier_lattice(f, q, r, s):
     base = base[np.linalg.norm(base * delta, axis=1) < rho]
     shifted = [base + s * e for e in np.eye(f.m, dtype=int)]
     nodes = np.unique(np.concatenate([base] + shifted), axis=0)
-    ctx = tg.FrameContext(f, q, tg.FrameContext.at(f, q, r).iso, 2.2 * rho)
-    region = tg.component(ctx)
-    lo = nodes.min(axis=0)
-    solution = extractor._solve_lattice(ctx, region, nodes - lo, nodes * delta,
-                                        -lo, tuple(nodes.max(axis=0) - lo + 1))
+    ctx = tg.FrameContext.at(f, q, r).with_radius(2.2 * rho)
+    solution = extractor._solve_nodes(ctx, tg.component(ctx), nodes * delta)
     return ctx, nodes * delta, solution
 
 
@@ -120,6 +117,26 @@ class TestMainTheorem:
         monkeypatch.setattr(theorems, "max_radius", bracket)
         v = tg.verify_main_theorem(circle, 1e-5, [circle.point(0, [0.0])])
         assert v.margin == -math.inf and v.holds is False
+
+    @pytest.mark.parametrize("r0,r1,verdict", [
+        # r1 fails at r_init beside a measured r0: neither side decides
+        ((0.5, 0.6, "bracketed"), (0.0, 1e-6, "none_passing"), "r1 none_passing"),
+        ((0.0, 1e-6, "none_passing"), (0.0, 1e-6, "none_passing"), "r0 and r1 none_passing"),
+        # r0 is below r_init and r1 above it: the order is known
+        ((0.0, 1e-6, "none_passing"), (0.5, 0.6, "bracketed"), True),
+    ])
+    def test_none_passing_radius(self, circle, monkeypatch, r0, r1, verdict):
+        def bracket(f, lam, kind, Q, tol, N):
+            r_lo, r_hi, status = r0 if kind == tg.KIND_C0 else r1
+            return theorems.RadiusReport(lam, kind, r_lo, r_hi, status, tol, 64, {})
+
+        monkeypatch.setattr(theorems, "max_radius", bracket)
+        if verdict is True:
+            v = tg.verify_main_theorem(circle, 1e-5, [circle.point(0, [0.0])])
+            assert v.holds and v.margin == 0.5 - 1e-6
+        else:
+            with pytest.raises(Inconclusive, match=f"^{verdict}: .* initial radius 1e-06"):
+                tg.verify_main_theorem(circle, 1e-5, [circle.point(0, [0.0])])
 
     def test_torus_positive_margin_at_threshold(self, torus, radius_cache):
         Q = [torus.point(0, [0.0, math.pi]), torus.point(0, [0.0, 0.0])]
@@ -261,7 +278,7 @@ class TestDuCertifier:
                    cert.per_node)
 
     def test_circle_micro_scale(self, circle):
-        # at 3 nodes per rho the outer seeds walk toward the centre
+        # an even and an odd node count per rho
         for s in (4, 3):
             cert = tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5,
                                        1e-5, nodes_per_rho=s)
@@ -315,7 +332,7 @@ class TestDuCertifier:
             f, q, r, s = circle, circle.point(0, [0.0]), 1.9e-5, 4
         else:
             f, q, r, s = sphere, sphere.point(4, [0.0, 0.0]), 4e-6, 12
-        ctx, targets, (_, solved, chart, coords, _) = certifier_lattice(f, q, r, s)
+        ctx, targets, (solved, chart, coords, _) = certifier_lattice(f, q, r, s)
         assert solved.all()
         frame = extractor._per_chart(ctx.frame_coords, chart, coords)
         err = np.linalg.norm(frame[:, :m] - targets, axis=1)
