@@ -5,8 +5,8 @@ connected parameter-space component whose frame projection stays inside
 the ball of the working radius, then solve for the graph heights on a
 regular grid in one Newton batch, each node seeded by a predictor step
 from the region cell whose projection lies near it.  Derivatives come
-from the exact tangent space at each solved parameter, not from height
-differencing.
+from the exact Jacobian at each solved parameter, turned into the frame,
+not from height differencing.
 
 All heavy steps are vectorized over grid nodes and cells.  The component
 is labelled on, and stored as, one dense boolean cell window per chart,
@@ -28,9 +28,8 @@ from .errors import (
     NoConvergence,
     NotAGraph,
 )
-from .geometry import (Isometry, _grid_rows, _orthonormalize_batch, _singular_extremes,
-                       graph_slopes, is_admissible, left_product, make_admissible_isometry,
-                       row_norm)
+from .geometry import (Isometry, _grid_rows, _singular_extremes, is_admissible,
+                       make_admissible_isometry, product_columns, row_norm, span_slopes)
 from .zoo import ParamImmersion, ParamPoint, tangent_space
 
 STATUS_OK = 0
@@ -97,14 +96,18 @@ class _CellBlock:
 def _cell_index(chart, size, coords) -> np.ndarray:
     """Integer cell of each row of parameter coords, periodic axes unwrapped."""
     coords = np.atleast_2d(coords)
-    shifted = [(coords[:, d] - lo) / size[d] for d, lo in enumerate(chart.lo)]
-    return np.floor(np.stack(shifted, axis=-1)).astype(np.int64)
+    cells = np.empty(coords.shape, dtype=np.int64)
+    for d, lo in enumerate(chart.lo):
+        cells[:, d] = np.floor((coords[:, d] - lo) / size[d])
+    return cells
 
 
 def _window_pos(cells, lo, shape, counts, periodic):
     """Positions of cell index rows in the window at lo of the given shape,
     periodic axes taken mod counts, and which rows fall inside it."""
-    pos = np.stack([cells[:, d] - first for d, first in enumerate(lo)], axis=-1)
+    pos = np.empty(cells.shape, dtype=np.int64)
+    for d, first in enumerate(lo):
+        np.subtract(cells[:, d], first, out=pos[:, d])
     ok = np.ones(len(pos), dtype=bool)
     for d, col in enumerate(pos.T):
         if periodic[d]:
@@ -189,25 +192,41 @@ class ComponentRegion:
                             _cell_index(ch, self.cell_sizes[chart], coords))
 
 
-def _chart_slices(charts):
-    """(chart, slice of its rows) for each chart of a chart-sorted array."""
-    cuts = [0, *(np.flatnonzero(charts[1:] != charts[:-1]) + 1).tolist(), len(charts)]
-    return [(int(charts[a]), slice(a, b)) for a, b in zip(cuts, cuts[1:]) if b > a]
+ALL = slice(None)  # the row set holding every row
 
 
-def _per_chart(fn, charts, coords) -> np.ndarray:
-    """fn(chart, coords) on each chart's rows, in row order; one chart's batch whole."""
-    present = np.flatnonzero(np.bincount(charts))
-    if len(present) == 1:
-        return fn(int(present[0]), coords)
+def _take(a: np.ndarray, rows) -> np.ndarray:
+    """The rows (indices, or ALL) of a; a itself for ALL."""
+    return a if rows is ALL else a.take(rows, axis=0)
+
+
+def _chart_groups(charts):
+    """(chart, its row indices) per chart present, rows in order; ALL when
+    one chart holds every row."""
+    if len(charts) and (charts == charts[0]).all():
+        return [(int(charts[0]), ALL)]
+    return [(int(c), np.flatnonzero(charts == c)) for c in np.flatnonzero(np.bincount(charts))]
+
+
+def _per_chart(fn, charts, *arrays) -> np.ndarray:
+    """fn(chart, *arrays) on each chart's rows, in row order; one chart's batch whole."""
     out = None
-    for c in present:
-        rows = np.flatnonzero(charts == c)
-        val = fn(int(c), coords.take(rows, axis=0))
+    for c, rows in _chart_groups(charts):
+        val = fn(c, *(_take(a, rows) for a in arrays))
+        if rows is ALL:
+            return val
         if out is None:
             out = np.empty((len(charts),) + val.shape[1:], dtype=val.dtype)
         out[rows] = val
     return out
+
+
+def _column_norm(cols: list) -> np.ndarray:
+    """row_norm of the rows whose columns are cols, with its bits."""
+    square = cols[0] * cols[0]
+    for col in cols[1:]:
+        square += col * col
+    return np.sqrt(square)
 
 
 def _solve_linear(mats: np.ndarray, rhs: np.ndarray):
@@ -216,27 +235,43 @@ def _solve_linear(mats: np.ndarray, rhs: np.ndarray):
     A system is singular when |det| <= 1e-14 max|a_ij|^m; it takes no step.
     """
     m = mats.shape[-1]
+    return _solve_columns([[mats[..., i, j] for j in range(m)] for i in range(m)],
+                          [rhs[..., i] for i in range(m)])
+
+
+def _solve_columns(a: list, rhs: list):
+    """_solve_linear on systems given by their entries a[i][j] and right-hand
+    sides rhs[i], each a column over the stack."""
+    m = len(a)
     if m == 1:
-        det = mats[..., 0, 0]
+        det = a[0][0]
     elif m == 2:
-        det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     else:
+        mats = np.stack([np.stack(row, axis=-1) for row in a], axis=-2)
         det = np.linalg.det(mats)
-    scale = np.abs(mats[..., 0, 0])
-    for i, j in np.ndindex(m, m):
-        scale = np.maximum(scale, np.abs(mats[..., i, j]))
+    scale = np.abs(a[0][0])
+    for i, j in list(np.ndindex(m, m))[1:]:
+        np.maximum(scale, np.abs(a[i][j]), out=scale)
     singular = np.abs(det) <= 1e-14 * scale ** m
     if m > 2:
         regular = np.where(singular[..., None, None], np.eye(m), mats)
-        step = np.linalg.solve(regular, rhs[..., None])[..., 0]
+        step = np.linalg.solve(regular, np.stack(rhs, axis=-1)[..., None])[..., 0]
         return np.where(singular[..., None], 0.0, step), singular
-    safe = np.where(singular, 1.0, det)
+    any_singular = singular.any()
+    safe = np.where(singular, 1.0, det) if any_singular else det
+    step = np.empty(det.shape + (m,))
     if m == 1:
-        return np.where(singular, 0.0, rhs[..., 0] / safe)[..., None], singular
-    inv_det = np.where(singular, 0.0, 1.0 / safe)
-    sx = inv_det * (mats[..., 1, 1] * rhs[..., 0] - mats[..., 0, 1] * rhs[..., 1])
-    sy = inv_det * (mats[..., 0, 0] * rhs[..., 1] - mats[..., 1, 0] * rhs[..., 0])
-    return np.stack([sx, sy], axis=-1), singular
+        step[..., 0] = rhs[0] / safe
+        if any_singular:
+            step[singular] = 0.0
+        return step, singular
+    inv_det = 1.0 / safe
+    if any_singular:
+        inv_det[singular] = 0.0
+    step[..., 0] = inv_det * (a[1][1] * rhs[0] - a[0][1] * rhs[1])
+    step[..., 1] = inv_det * (a[0][0] * rhs[1] - a[1][0] * rhs[0])
+    return step, singular
 
 
 def _flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
@@ -463,45 +498,53 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     tol = 1e-10 * max(1.0, ctx.radius)
     proj = ctx.iso.rotation.T[:m]
 
-    out = (np.full(B, _SOLVE_NO_CONV, dtype=np.int8),
-           np.asarray(seed_charts, dtype=np.int64).copy(),
-           np.atleast_2d(np.asarray(seed_coords, dtype=float)).copy(),
-           np.zeros((B, f.n)))
-    # Live rows, sorted by chart so that each chart's rows are one slice:
-    # row id, target, chart, iterate, its frame coords, strikes.
-    order = np.argsort(out[1], kind="stable")
-    ids, tgt, chart, cur, y, strikes = live = [
-        order, targets.take(order, axis=0), out[1].take(order),
-        out[2].take(order, axis=0), np.empty((B, f.n)), np.zeros(B, dtype=np.int8)]
-    for c, sl in _chart_slices(chart):
-        y[sl] = ctx.frame_coords(c, cur[sl])
+    # Live rows: row id, target, chart, iterate, its frame coords, strikes,
+    # and whether the last step was singular.  They start in batch order;
+    # each step gathers its chart's unfinished rows as its input, and its
+    # outputs are the next live rows.  Finished rows keep their results in
+    # done, in the order they finished.
+    ids, tgt = np.arange(B), targets
+    chart = np.asarray(seed_charts, dtype=np.int64).copy()
+    cur = np.atleast_2d(np.asarray(seed_coords, dtype=float)).copy()
+    if not B:
+        return np.zeros(0, dtype=np.int8), chart, cur, np.zeros((0, f.n))
+    y = _per_chart(ctx.frame_coords, chart, cur)
+    strikes, singular = np.zeros(B, dtype=np.int8), np.zeros(B, dtype=bool)
+    done = []
     for _ in range(NEWTON_MAX_ITER):
-        ids, tgt, chart, cur, y, strikes = live
-        g = y[:, :m] - tgt
-        res = row_norm(g)
-        conv = res <= tol
-        if conv.any():
-            g, res = g.compress(~conv, axis=0), res.compress(~conv)
-            # a row that converged just after stepping outside the region left it
-            code = np.where(strikes > 0, _SOLVE_LEFT, _SOLVE_OK)
-            live = ids, tgt, chart, cur, y, strikes = _leave(live, conv, code, out)
-        if not len(ids):
-            break
+        g = [y[:, j] - tgt[:, j] for j in range(m)]
+        res = _column_norm(g)
+        # converged, or the last step was singular or left the region twice
+        stop = (res <= tol) | singular | (strikes >= 2)
+        rest = ALL
+        if stop.any():
+            every = stop.all()
+            rows = ALL if every else np.flatnonzero(stop)
+            # a singular row took no step; a row that converged just after
+            # stepping outside the region left it
+            code = np.where(_take(singular, rows), _SOLVE_NO_CONV,
+                            np.where(_take(strikes, rows) > 0, _SOLVE_LEFT, _SOLVE_OK))
+            done.append((_take(ids, rows), code, *(_take(a, rows) for a in (chart, cur, y))))
+            if every:
+                break
+            rest = np.flatnonzero(~stop)
 
-        # Newton step in the frame projection, one chart's slice at a time;
+        # Newton step in the frame projection, one chart's rows at a time;
         # a row relocated into another chart waits a turn.
-        singular_rows, moved = np.zeros(len(ids), dtype=bool), False
-        for c, sl in _chart_slices(chart):
-            cur_c, tgt_c, res_c = cur[sl], tgt[sl], res[sl]
+        steps = []
+        for c, group in _chart_groups(_take(chart, rest)):
+            rows = group if rest is ALL else _take(rest, group)
+            cur_c, tgt_c, res_c = (_take(a, rows) for a in (cur, tgt, res))
+            g_c = [_take(col, rows) for col in g]
             jac = f.jacobian_chart(c, cur_c)
-            step, singular_rows[sl] = _solve_linear(left_product(proj, jac), g[sl])
+            step, singular_c = _solve_columns(product_columns(proj, jac), g_c)
 
             # Backtracking: rows whose residual did not drop retry at half and
             # then a quarter of the step, keeping their best candidate.
             ch = f.charts[c]
             best = _constrain(ch, cur_c, cur_c - step)
             best_y = ctx.frame_coords(c, best)
-            best_res = row_norm(best_y[:, :m] - tgt_c)
+            best_res = _column_norm([best_y[:, j] - tgt_c[:, j] for j in range(m)])
             retry = np.nonzero(~(best_res <= res_c * (1 - 1e-4)))[0]
             for scale in (0.5, 0.25):
                 if not len(retry):
@@ -515,44 +558,54 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
                 best_y[retry[better]] = yc[better]
                 best_res[retry[better]] = res_new[better]
                 retry = retry[~(res_new <= res_c[retry] * (1 - 1e-4))]
-            # cur_c views the iterate: test for pinned rows before writing
-            pinned = row_norm(best - cur_c) < 1e-12 * row_norm(step)
-            cur[sl] = best
-            y[sl] = best_y
 
             # Pinned at a domain boundary: try to continue in another chart.
-            if pinned.any() and f.locate is not None:
-                for row in sl.start + np.flatnonzero(pinned):
-                    target = f.locate(f.eval_chart(c, cur[row]), exclude=c)
+            chart_c = np.full(len(best), c)
+            if f.locate is not None:
+                pinned = row_norm(best - cur_c) < 1e-12 * row_norm(step)
+                for row in np.flatnonzero(pinned):
+                    target = f.locate(f.eval_chart(c, best[row]), exclude=c)
                     if target is not None:
-                        chart[row] = target.chart
-                        cur[row] = target.coords
-                        y[row] = ctx.frame_coords(target.chart, target.coords[None, :])[0]
-                        moved = True
+                        chart_c[row] = target.chart
+                        best[row] = target.coords
+                        best_y[row] = ctx.frame_coords(target.chart, target.coords[None, :])[0]
+            steps.append((_take(ids, rows), tgt_c, chart_c, best, best_y,
+                          _take(strikes, rows), singular_c))
+        ids, tgt, chart, cur, y, strikes, singular = (
+            steps[0] if len(steps) == 1 else map(np.concatenate, zip(*steps)))
         # Region escape bookkeeping, in each row's chart after relocation.
-        # A singular row took no step; it ends unsolved.
-        inside = _per_chart(region.contains, chart, cur)
-        strikes[:] = np.where(inside, 0, strikes + 1)
-        gone = singular_rows | (strikes >= 2)
-        if gone.any():
-            live = _leave(live, gone, np.where(singular_rows, _SOLVE_NO_CONV, _SOLVE_LEFT), out)
-        if moved:
-            order = np.lexsort((live[0], live[2]))
-            live = [a.take(order, axis=0) for a in live]
+        strikes = np.where(_per_chart(region.contains, chart, cur), 0, strikes + 1)
+    else:
+        # out of iterations: unconverged, or the last step left the region twice
+        code = np.where((strikes >= 2) & ~singular, _SOLVE_LEFT, _SOLVE_NO_CONV)
+        done.append((ids, code, chart, cur, y))
 
-    _leave(live, np.ones(len(live[0]), dtype=bool), _SOLVE_NO_CONV, out)
-    return out
+    status, chart, coords, frame = _in_batch_order(done, B)
+    return status.astype(np.int8, copy=False), chart, coords, frame
 
 
-def _leave(live, sel, code, out):
-    """Write the selected live rows' status (code, one per live row or one for
-    all), chart, iterate and frame coords into out; return the other rows."""
-    every = sel.all()  # then nothing stays, and nothing need be copied
-    cols = (*live[:5], np.broadcast_to(code, sel.shape))
-    rows, _, chart, cur, y, code = cols if every else [a.compress(sel, axis=0) for a in cols]
-    status, out_chart, out_coords, frame = out
-    status[rows], out_chart[rows], out_coords[rows], frame[rows] = code, chart, cur, y
-    return [a[:0] if every else a.compress(~sel, axis=0) for a in live]
+def _in_batch_order(done: list, B: int) -> list:
+    """The finished row sets, each (row ids, then per-row arrays), merged
+    into batch order.  Runs of consecutive rows of one set are copied as
+    slices, so a set that finished whole but for a few rows is copied once;
+    rows scattered into more than 64 runs are gathered instead."""
+    if len(done) == 1 and (done[0][0][1:] > done[0][0][:-1]).all():
+        return done[0][1:]
+    ids = np.concatenate([d[0] for d in done])
+    src = np.empty(B, dtype=np.int64)  # position of each batch row in ids
+    src[ids] = np.arange(B)
+    offset = np.cumsum([0] + [len(d[0]) for d in done])
+    set_start = np.zeros(B, dtype=bool)
+    set_start[offset[:-1]] = True
+    cuts = np.flatnonzero((np.diff(src) != 1) | set_start.take(src[1:])) + 1
+    if len(cuts) >= 64:
+        return [np.concatenate(col).take(src, axis=0) for col in list(zip(*done))[1:]]
+    starts = src[[0, *cuts]]
+    sets = np.searchsorted(offset, starts, side="right") - 1
+    runs = [(k, a - offset[k], a - offset[k] + n) for k, a, n in
+            zip(sets.tolist(), starts.tolist(), np.diff([0, *cuts, B]).tolist())]
+    return [np.concatenate([done[k][col][a:b] for k, a, b in runs])
+            for col in range(1, len(done[0]))]
 
 
 def _constrain(chart, start, cand):
@@ -569,7 +622,7 @@ def _constrain(chart, start, cand):
             cand[bad] = start[bad] + factor[bad, None] * delta[bad]
             ok[bad] = chart.contains(cand[bad])
         cand[~ok] = start[~ok]
-    return chart.wrap(cand)
+    return chart.wrap(cand) if any(chart.periodic) else cand
 
 
 def solve_height(ctx: FrameContext, region: ComponentRegion, x,
@@ -651,9 +704,14 @@ def extract(ctx: FrameContext, N: int, h: float = None) -> GraphSample:
 
     Nodes are solved in one Newton batch, each seeded one predictor step
     from a region cell whose frame projection lies within about r/32 of it.
-    Status semantics: multi_sheet when two separated region cells land in one
-    grid cell, vertical when the tangent space has no slope matrix in the
-    frame, uncovered when the solve failed or never reached the node.
+    A node's slope du is bottom @ inv(top) of the Jacobian at its parameter
+    turned into the frame, R^T J: the slope of the tangent space, whatever
+    its basis.  Status semantics: multi_sheet when two separated region
+    cells land in one grid cell, vertical when the top block of R^T J is
+    singular or sigma_max(du)^2 >= GRAPH_RANK_TOL^-2 - 1 (an orthonormal
+    basis's top block then has sigma_min <= GRAPH_RANK_TOL), uncovered when
+    the solve failed or never reached the node.  du and du_norm are NaN
+    where the node is vertical or uncovered.
     """
     if N < 8:
         raise ValueError("grid resolution must be at least 8")
@@ -678,15 +736,20 @@ def _solve_nodes(ctx: FrameContext, region: ComponentRegion, targets):
     f = ctx.immersion
     m, r = f.m, ctx.radius
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    blocks = region.blocks.values()
     shape = (64,) * m
 
     def bin_of(x):
         return _flat_index(np.floor((x + r) * (32 / r)).clip(0, 63).astype(np.int64), shape)
 
-    keys, first = np.unique(bin_of(np.concatenate([b.x for b in blocks])), return_index=True)
-    cell = np.full(shape, -1, dtype=np.int64)
-    cell.put(keys, first)
+    def cells(attr):
+        """A _CellBlock attribute over the region's cells, in row order."""
+        parts = [getattr(b, attr) for b in region.blocks.values()]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    total = region.total_cells
+    cell = np.full(shape, total, dtype=np.int64)  # each bin's first cell
+    np.minimum.at(cell.reshape(-1), bin_of(cells("x")), np.arange(total))
+    cell[cell == total] = -1
     want = bin_of(targets)
     while (cell.take(want) < 0).any():
         for d in range(m):
@@ -696,12 +759,12 @@ def _solve_nodes(ctx: FrameContext, region: ComponentRegion, targets):
                 cell = np.where(cell < 0, near, cell)
     rows = cell.take(want)
 
-    chart = np.concatenate([np.full(len(b.idx), c) for c, b in region.blocks.items()]).take(rows)
-    center, x, jac = (np.concatenate([getattr(b, a) for b in blocks]).take(rows, axis=0)
-                      for a in ("center", "x", "jac"))
-    step, _ = _solve_linear(left_product(ctx.iso.rotation.T[:m], jac), targets - x)
-    seeds = _per_chart(lambda c, pair: _constrain(f.charts[c], pair[:, 0], pair[:, 1]),
-                       chart, np.stack([center, center + step], axis=1))
+    chart = np.repeat(list(region.blocks), [len(b.idx) for b in region.blocks.values()])
+    chart = chart.take(rows)
+    center, x, jac = (cells(a).take(rows, axis=0) for a in ("center", "x", "jac"))
+    step, _ = _solve_columns(product_columns(ctx.iso.rotation.T[:m], jac), list((targets - x).T))
+    seeds = _per_chart(lambda c, start, cand: _constrain(f.charts[c], start, cand),
+                       chart, center, center + step)
     status, p_chart, p_coords, frame = _solve_batch(ctx, region, targets, chart, seeds)
     solved = status == _SOLVE_OK
     for out in (p_chart, p_coords, frame):
@@ -727,18 +790,16 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
     solved, p_chart, p_coords, frame = _solve_nodes(ctx, region, coords)
     status = np.where(solved, STATUS_OK, STATUS_UNCOVERED).astype(np.int8)
 
-    # Exact derivatives from the tangent space at each solved parameter.
-    du = np.full((P, k, m), np.nan)
-    du_norm = np.full(P, np.nan)
+    # Exact derivatives from the Jacobian at each solved parameter, turned
+    # into the frame: the slope B A^-1 of its span needs no orthonormal basis.
     ok_rows = np.flatnonzero(solved)
+    rows = ALL if len(ok_rows) == P else ok_rows
+    slope, norm = np.zeros((0, k, m)), np.zeros(0)
     if len(ok_rows):
-        jac = _per_chart(f.jacobian_chart, p_chart.take(ok_rows),
-                         p_coords.take(ok_rows, axis=0))
-        basis = _orthonormalize_batch(jac)
-        slope, vertical = graph_slopes(left_product(ctx.iso.rotation.T, basis))
+        jac = _per_chart(f.jacobian_chart, _take(p_chart, rows), _take(p_coords, rows))
+        slope, vertical, norm = span_slopes(product_columns(ctx.iso.rotation.T, jac))
         status[ok_rows[vertical]] = STATUS_VERTICAL
-        du[ok_rows] = slope
-        du_norm[ok_rows] = row_norm(slope.reshape(len(slope), -1))
+    du, du_norm = _spread(slope, rows, P), _spread(norm, rows, P)
 
     _mark_multi_sheet(region, status, node_map, a, N, m)
 
@@ -757,6 +818,15 @@ def _extract_on_region(ctx: FrameContext, region: ComponentRegion,
         param_coords=p_coords,
         region_h=region.h,
     )
+
+
+def _spread(values: np.ndarray, rows, P: int) -> np.ndarray:
+    """values placed at rows (indices, or ALL) of P rows, NaN elsewhere."""
+    if rows is ALL:
+        return values
+    out = np.full((P,) + values.shape[1:], np.nan)
+    out[rows] = values
+    return out
 
 
 def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> np.ndarray:

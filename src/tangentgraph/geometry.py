@@ -17,6 +17,9 @@ from .errors import PreconditionViolated
 SPAN_TOL = 1e-10
 GRAPH_RANK_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10  # entry-wise bound on |B^T B - I|
+# sigma_max(slope)^2 at which an orthonormal basis's top block has
+# sigma_min = GRAPH_RANK_TOL
+_VERTICAL_SLOPE_SQ = GRAPH_RANK_TOL ** -2 - 1.0
 
 
 def matrix_norm(a) -> float:
@@ -43,15 +46,31 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(a, a))
 
 
+def product_columns(a: np.ndarray, mats: np.ndarray) -> list:
+    """Entries of ``a @ mat`` for every stacked matrix, (p, n) and (..., n, q):
+    entry [i][j] is a column over the stack, added left to right."""
+    return [[row_dot(row, mats[..., j]) for j in range(mats.shape[-1])] for row in a]
+
+
+def _entries(mats: np.ndarray) -> list:
+    """Entry [i][j] of every stacked matrix, each a column (view) over the stack."""
+    return [[mats[..., i, j] for j in range(mats.shape[-1])] for i in range(mats.shape[-2])]
+
+
+def _stack_entries(entries: list) -> np.ndarray:
+    """The stacked matrices whose entry [i][j] is the column entries[i][j]."""
+    out = np.empty(np.shape(entries[0][0]) + (len(entries), len(entries[0])))
+    for i, row in enumerate(entries):
+        for j, col in enumerate(row):
+            out[..., i, j] = col
+    return out
+
+
 def left_product(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """``a @ mat`` for every stacked matrix, entry by entry: (p, n) and
     (..., n, q) give (..., p, q), each entry added left to right (the bits
     of ``np.einsum("ij,bjl->bil")`` for q >= 2)."""
-    out = np.empty(mats.shape[:-2] + (a.shape[0], mats.shape[-1]))
-    for i, row in enumerate(a):
-        for col in range(mats.shape[-1]):
-            out[..., i, col] = row_dot(row, mats[..., col])
-    return out
+    return _stack_entries(product_columns(a, mats))
 
 
 def _grid_rows(axes) -> np.ndarray:
@@ -62,23 +81,24 @@ def _grid_rows(axes) -> np.ndarray:
     return out.reshape(-1, len(axes))
 
 
+def _inverse_columns(mats: list) -> list:
+    """Entries of the inverse of every stacked m x m matrix, the matrices and
+    their inverses given by their entries (columns over the stack): the
+    adjugate over the determinant for m <= 2, LAPACK above."""
+    m = len(mats)
+    if m == 1:
+        return [[1.0 / mats[0][0]]]
+    if m > 2:
+        return _entries(np.linalg.inv(_stack_entries(mats)))
+    (a, b), (c, d) = mats
+    inv_det = 1.0 / (a * d - b * c)
+    return [[d * inv_det, -b * inv_det], [-c * inv_det, a * inv_det]]
+
+
 def inverse_batch(mats: np.ndarray) -> np.ndarray:
     """Inverse of every stacked m x m matrix: the adjugate over the
     determinant for m <= 2, LAPACK above."""
-    m = mats.shape[-1]
-    if m == 1:
-        return 1.0 / mats
-    if m > 2:
-        return np.linalg.inv(mats)
-    a, b = mats[..., 0, 0], mats[..., 0, 1]
-    c, d = mats[..., 1, 0], mats[..., 1, 1]
-    inv_det = 1.0 / (a * d - b * c)
-    out = np.empty_like(mats)
-    out[..., 0, 0] = d * inv_det
-    out[..., 0, 1] = -b * inv_det
-    out[..., 1, 0] = -c * inv_det
-    out[..., 1, 1] = a * inv_det
-    return out
+    return _stack_entries(_inverse_columns(_entries(mats)))
 
 
 def _is_orthonormal(b: np.ndarray) -> bool:
@@ -141,6 +161,30 @@ def _orthonormalize_batch(jac: np.ndarray) -> np.ndarray:
     return q * sign[..., None, :]
 
 
+def _slopes(entries: list, flat: np.ndarray) -> np.ndarray:
+    """bottom @ inv(top), (B, k, m), for stacked n x m matrices given by
+    their entries (columns over the stack), top their first m rows; a row
+    flagged in flat has its top replaced by the identity, keeping the
+    inverse defined, and its slope set to NaN."""
+    m = len(entries[0])
+    top, bottom = entries[:m], entries[m:]
+    any_flat = flat.any()
+    if any_flat:
+        top = [[np.where(flat, float(i == j), col) for j, col in enumerate(row)]
+               for i, row in enumerate(top)]
+    inv = _inverse_columns(top)
+    slope = np.empty(flat.shape + (len(bottom), m))
+    for r, row in enumerate(bottom):
+        for j in range(m):
+            entry = row[0] * inv[0][j]
+            for i in range(1, m):
+                entry += row[i] * inv[i][j]
+            slope[:, r, j] = entry
+    if any_flat:
+        slope[flat] = np.nan
+    return slope
+
+
 def graph_slopes(bases: np.ndarray):
     """Slope matrices of stacked n x m bases over R^m x {0}.
 
@@ -149,18 +193,45 @@ def graph_slopes(bases: np.ndarray):
     is NaN.  Every other row gets bottom @ inv(top), shape (k, m).
     """
     m = bases.shape[-1]
-    top = bases[:, :m, :]
-    vertical = _singular_extremes(top)[1] <= GRAPH_RANK_TOL
-    any_vertical = vertical.any()
-    if any_vertical:
-        top = np.where(vertical[:, None, None], np.eye(m), top)  # keeps inv defined
-    inv, bottom = inverse_batch(top), bases[:, m:, :]
-    slope = bottom[:, :, :1] * inv[:, None, 0, :]
-    for j in range(1, m):
-        slope += bottom[:, :, j:j + 1] * inv[:, None, j, :]
-    if any_vertical:
+    vertical = _singular_extremes(bases[:, :m, :])[1] <= GRAPH_RANK_TOL
+    return _slopes(_entries(bases), vertical), vertical
+
+
+def span_slopes(entries: list):
+    """Slope matrices over R^m x {0} of the column spans of stacked n x m
+    matrices, which need not be orthonormal, given by their entries: entry
+    [i][j] is a column over the stack (``product_columns`` gives them).
+
+    Returns (slope, vertical, norm).  The slope bottom @ inv(top) depends
+    only on the span.  For an orthonormal basis of the span, sigma_min of
+    its top block is 1 / sqrt(1 + sigma_max(slope)^2), so graph_slopes'
+    test reads: a row is vertical when its top block is singular or
+    sigma_max(slope)^2 >= GRAPH_RANK_TOL^-2 - 1.  That test depends on
+    neither the basis nor its scale.  norm is the slope's Frobenius norm,
+    an upper bound of sigma_max, so only rows with norm >= 1 / GRAPH_RANK_TOL
+    need sigma_max.  Vertical rows get NaN slopes and norms.
+    """
+    m, k = len(entries[0]), len(entries) - len(entries[0])
+    if m == 1:
+        det = entries[0][0]
+    elif m == 2:
+        det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
+    else:
+        det = np.linalg.det(_stack_entries(entries[:m]))
+    singular = det == 0.0
+    slope = _slopes(entries, singular)
+    flat = slope.reshape(len(slope), -1)
+    square = row_dot(flat, flat)
+    vertical = ~(square < _VERTICAL_SLOPE_SQ)  # singular rows read NaN
+    if k > 1 and vertical.any():
+        big = np.flatnonzero(vertical & ~singular)
+        steep = slope[big] if k >= m else np.swapaxes(slope[big], -1, -2)
+        vertical[big] = ~(_singular_extremes(steep)[0] ** 2 < _VERTICAL_SLOPE_SQ)
+    norm = np.sqrt(square)
+    if vertical.any():
         slope[vertical] = np.nan
-    return slope, vertical
+        norm[vertical] = np.nan
+    return slope, vertical, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +331,9 @@ class Isometry:
     def inverse_apply(self, x) -> np.ndarray:
         """(x - T) @ R, with x shifted one column at a time."""
         x = np.asarray(x, dtype=float)
-        shifted = np.stack([x[..., j] - t for j, t in enumerate(self.translation)], axis=-1)
+        shifted = np.empty(x.shape)
+        for j, t in enumerate(self.translation):
+            np.subtract(x[..., j], t, out=shifted[..., j])
         return shifted @ self.rotation
 
     def inverse(self) -> "Isometry":
@@ -392,15 +465,17 @@ def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult
     m, n = e.dim, e.ambient_dim
     if L > 1.0 + 1e-12:
         raise ValueError(f"probe bound requires L <= 1, got {L}")
-    probes = [np.asarray(v, dtype=float).reshape(-1) for v in probes]
-    if len(probes) != m:
-        raise ValueError(f"expected {m} probes, got {len(probes)}")
-    # Probes before the first one of the wrong dimension are checked first.
-    good = next((j for j, v in enumerate(probes) if v.shape[0] != n), m)
-    v = np.array(probes[:good]).reshape(good, n)
+    if isinstance(probes, np.ndarray) and probes.shape == (m, n):
+        v, good = probes.astype(float, copy=False), m  # one stack, as the certifier passes
+    else:
+        probes = [np.asarray(v, dtype=float).reshape(-1) for v in probes]
+        if len(probes) != m:
+            raise ValueError(f"expected {m} probes, got {len(probes)}")
+        # Probes before the first one of the wrong dimension are checked first.
+        good = next((j for j, v in enumerate(probes) if v.shape[0] != n), m)
+        v = np.array(probes[:good]).reshape(good, n)
     off = row_norm(v - (v @ e.basis) @ e.basis.T)
-    v.flat[::n + 1] -= 1.0  # v_j - e_j, in place: v is a fresh stack
-    far = row_norm(v)
+    far = row_norm(v - np.eye(good, n))  # v_j - e_j
     budget = L / (3.0 * math.sqrt(m))
     bad_off = off > SPAN_TOL
     bad = bad_off | (far > budget * (1 + 1e-12) + 1e-15)

@@ -8,6 +8,8 @@ can only certify what it has probed, and says so.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -60,44 +62,90 @@ class PropertyVerdict:
     reason: str = ""
 
 
-def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
-    """Local property check at the context's base point and radius."""
-    q, r, m = ctx.base_point, ctx.radius, ctx.immersion.m
-    if not lam > 0:
-        raise ValueError("slope bound must be positive")
+@dataclass(frozen=True)
+class _Measure:
+    """What a witness measures, whatever its kind and slope bound: the
+    verdict when the graph check already decides it ("inconclusive" or
+    "fail"), else the norms and whether a node is vertical."""
+
+    status: str = None
+    detail: str = ""
+    c0: float = None
+    lip: float = None
+    vertical: bool = False
+
+
+# (chart, coords, r, N) -> _Measure while _measures_shared() is active
+_SHARED = contextvars.ContextVar("tangentgraph_shared_measures", default=None)
+
+
+@contextlib.contextmanager
+def _measures_shared():
+    """Within the block, property checks measure each base point at each
+    radius and grid once, whatever the kind and slope bound they test."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _measure_at(ctx: FrameContext, N: int) -> _Measure:
+    """The measure at the context's base point and radius, read from the
+    shared measures when they hold it."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _measure_once(ctx, N)
+    q = ctx.base_point
+    key = (q.chart, q.coords.tobytes(), ctx.radius, N)
+    if key not in shared:
+        shared[key] = _measure_once(ctx, N)
+    return shared[key]
+
+
+def _measure_once(ctx: FrameContext, N: int) -> _Measure:
+    """Component, sheet scan, extraction and norms at the context's base
+    point and radius."""
     try:
         region = component(ctx)
     except BoundaryEscape as exc:
-        return Witness(q, "inconclusive", detail=str(exc))
+        return _Measure("inconclusive", str(exc))
     # A second sheet fails both properties; skip the node solve when the
     # cell scan already proves it (same flagging rule as extraction).
-    if second_sheet_present(region, r, N, m):
-        return Witness(q, "fail", detail="multi_sheet")
+    if second_sheet_present(region, ctx.radius, N, ctx.immersion.m):
+        return _Measure("fail", "multi_sheet")
     sample = _extract_on_region(ctx, region, N)
     counts = sample.status_counts()
     if counts["multi_sheet"] or counts["uncovered"]:
-        return Witness(
-            q,
-            "fail",
-            detail=f"not a graph: {counts}",
-        )
+        return _Measure("fail", f"not a graph: {counts}")
     est = norms(sample)
+    return _Measure(c0=est.c0, lip=est.lip, vertical=counts["vertical"] > 0)
+
+
+def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
+    """Local property check at the context's base point and radius."""
+    q, r = ctx.base_point, ctx.radius
+    if not lam > 0:
+        raise ValueError("slope bound must be positive")
+    if kind not in (KIND_C0, KIND_C1):
+        raise ValueError(f"unknown property kind {kind!r}")
+    est = _measure_at(ctx, N)
+    if est.status is not None:
+        return Witness(q, est.status, detail=est.detail)
     if kind == KIND_C1:
-        if counts["vertical"]:
+        if est.vertical:
             return Witness(q, "fail", est.c0, est.lip, detail="vertical node")
         if est.lip > lam:
             return Witness(
                 q, "fail", est.c0, est.lip, detail=f"lip {est.lip:.6g} > {lam:.6g}"
             )
         return Witness(q, "pass", est.c0, est.lip)
-    if kind == KIND_C0:
-        bound = r * lam
-        if est.c0 > bound:
-            return Witness(
-                q, "fail", est.c0, est.lip, detail=f"c0 {est.c0:.6g} > {bound:.6g}"
-            )
-        return Witness(q, "pass", est.c0, est.lip)
-    raise ValueError(f"unknown property kind {kind!r}")
+    bound = r * lam
+    if est.c0 > bound:
+        return Witness(
+            q, "fail", est.c0, est.lip, detail=f"c0 {est.c0:.6g} > {bound:.6g}"
+        )
+    return Witness(q, "pass", est.c0, est.lip)
 
 
 def _check_property(f, r, lam, Q, kind, N=None, frames=None) -> PropertyVerdict:

@@ -248,11 +248,17 @@ def _build_circle(params) -> ParamImmersion:
 
     def ev(x):
         t = x[..., 0]
-        return np.stack([radius * np.cos(t), radius * np.sin(t)], axis=-1)
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = radius * np.cos(t)
+        out[..., 1] = radius * np.sin(t)
+        return out
 
     def jac(x):
         t = x[..., 0]
-        return np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=-1)[..., None]
+        out = np.empty(x.shape[:-1] + (2, 1))
+        out[..., 0, 0] = -radius * np.sin(t)
+        out[..., 1, 0] = radius * np.cos(t)
+        return out
 
     chart = _cube_chart(1, math.pi, math.pi, ev, jac, periodic=(True,))
     return ParamImmersion("circle", dict(params), 1, 2, [chart])
@@ -321,7 +327,11 @@ def _build_torus(params) -> ParamImmersion:
     def ev(x):
         th, ph = x[..., 0], x[..., 1]
         w = major + minor * np.cos(ph)
-        return np.stack([w * np.cos(th), w * np.sin(th), minor * np.sin(ph)], axis=-1)
+        out = np.empty(x.shape[:-1] + (3,))
+        out[..., 0] = w * np.cos(th)
+        out[..., 1] = w * np.sin(th)
+        out[..., 2] = minor * np.sin(ph)
+        return out
 
     def jac(x):
         th, ph = x[..., 0], x[..., 1]
@@ -348,12 +358,19 @@ def _build_helix(params) -> ParamImmersion:
 
     def ev(x):
         t = x[..., 0]
-        return np.stack([np.cos(t), np.sin(t), pitch * t], axis=-1)
+        out = np.empty(x.shape[:-1] + (3,))
+        out[..., 0] = np.cos(t)
+        out[..., 1] = np.sin(t)
+        out[..., 2] = pitch * t
+        return out
 
     def jac(x):
         t = x[..., 0]
-        ones = np.ones_like(t)
-        return np.stack([-np.sin(t), np.cos(t), pitch * ones], axis=-1)[..., None]
+        out = np.empty(x.shape[:-1] + (3, 1))
+        out[..., 0, 0] = -np.sin(t)
+        out[..., 1, 0] = np.cos(t)
+        out[..., 2, 0] = pitch
+        return out
 
     chart = _cube_chart(1, window + margin, window, ev, jac)
     return ParamImmersion("helix", dict(params), 1, 3, [chart])

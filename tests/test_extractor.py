@@ -898,3 +898,82 @@ class TestSolveBatchRowOrder:
         got = solve_rows(sphere, sphere_rows, rows)
         for a, b in zip(got, reference):
             assert same_bits(a, b[rows])
+
+
+class TestSolveBatchCompany:
+    """A row's _solve_batch results, bit for bit, do not depend on the rows
+    beside it: rows stay in place and a chart's rows are gathered only as a
+    step's input, on one chart or across two."""
+
+    CASES = {  # (immersion, chart, coords, r, N)
+        "circle": ("circle", 0, [0.3], 0.7, 256),
+        "sphere-two-charts": ("sphere", 4, [0.8, 0.1], 0.45, 34),
+        "torus": ("torus", 0, [0.3, 2.0], 0.02, 33),
+    }
+
+    @pytest.fixture(scope="class")
+    def batches(self, circle, sphere, torus):
+        """Per case, a node batch as extraction seeds it, but with every
+        third row seeded at its solution (so it converges at its seed) and
+        every third at the base point; and the whole batch's solution."""
+        fs = {"circle": circle, "sphere": sphere, "torus": torus}
+        out = {}
+        for name, (f, chart, coords, r, N) in self.CASES.items():
+            f = fs[f]
+            ctx = tg.FrameContext.at(f, f.point(chart, coords), r)
+            region = tg.component(ctx)
+            calls = []
+            real = extractor._solve_batch
+
+            def solve(*args, real=real, calls=calls):
+                calls.append(args[2:])
+                return real(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(extractor, "_solve_batch", solve)
+                extractor._extract_on_region(ctx, region, N)
+            targets, charts, seeds = (np.array(a, copy=True) for a in calls[0])
+            status, p_chart, p_coords, _ = real(ctx, region, targets, charts, seeds)
+            at_seed = np.zeros(len(targets), dtype=bool)
+            at_seed[::3] = status[::3] == extractor._SOLVE_OK
+            charts[at_seed], seeds[at_seed] = p_chart[at_seed], p_coords[at_seed]
+            charts[1::3], seeds[1::3] = ctx.base_point.chart, ctx.base_point.coords
+            batch = ctx, region, targets, charts, seeds
+            out[name] = batch, at_seed, extractor._solve_batch(*batch)
+        return out
+
+    @staticmethod
+    def solve(batch, rows):
+        ctx, region, targets, charts, seeds = batch
+        return extractor._solve_batch(ctx, region, targets[rows], charts[rows], seeds[rows])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batch_is_solved(self, batches, name):
+        batch, at_seed, (status, chart, _, _) = batches[name]
+        assert at_seed.sum() > 10 and (status == extractor._SOLVE_OK).all()
+        charts = 2 if name == "sphere-two-charts" else 1
+        assert len(set(batch[3])) == len(set(chart)) == charts
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_permuted_batch(self, batches, name):
+        batch, _, ref = batches[name]
+        rows = np.random.default_rng(7).permutation(len(batch[2]))
+        for got, want in zip(self.solve(batch, rows), ref):
+            assert same_bits(got, want[rows])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_seed_converged_and_stepped_rows_apart(self, batches, name):
+        batch, at_seed, ref = batches[name]
+        for part in (at_seed, ~at_seed):
+            rows = np.flatnonzero(part)
+            for got, want in zip(self.solve(batch, rows), ref):
+                assert same_bits(got, want[rows])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_chart_at_a_time(self, batches, name):
+        batch, _, ref = batches[name]
+        charts = batch[3]
+        for chart in np.unique(charts):
+            rows = np.flatnonzero(charts == chart)
+            for got, want in zip(self.solve(batch, rows), ref):
+                assert same_bits(got, want[rows])

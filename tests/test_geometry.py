@@ -25,12 +25,15 @@ from tangentgraph.extractor import _solve_linear
 from tangentgraph.geometry import (
     GRAPH_RANK_TOL,
     SPAN_TOL,
+    _entries,
     _orthonormalize_batch,
     _singular_extremes,
     graph_slopes,
     inverse_batch,
     left_product,
+    product_columns,
     row_norm,
+    span_slopes,
 )
 
 
@@ -422,6 +425,10 @@ class TestGraphMatrixFromProbes:
         assert _probe_outcome(graph_matrix_from_probes, e, probes, L) == expected
         if expected is None:
             assert graph_matrix_from_probes(e, probes, L).norm <= L
+        if len(probes) == e.dim and all(len(v) == e.ambient_dim for v in probes):
+            # one (m, n) array, as the certifier passes it, is checked alike
+            stacked = np.array(probes)
+            assert _probe_outcome(graph_matrix_from_probes, e, stacked, L) == expected
 
     def test_lowest_failing_probe_wins(self):
         e = Subspace(np.eye(4)[:, :2])
@@ -628,6 +635,80 @@ class TestEntrywiseKernels:
         assert np.isnan(slope[is_vertical]).all()
         assert not np.isnan(slope[~is_vertical]).any()
         assert np.array_equal(slope[~is_vertical], alone)
+
+
+@st.composite
+def frame_jacobians(draw):
+    """(R, J, s): a random frame R and Jacobian J = c R Q G.  Q is an
+    orthonormal n x m basis whose top block has smallest singular value s
+    (zero, clear of GRAPH_RANK_TOL on either side, or random), G a random
+    m x m matrix of condition number up to 1e3 and c a scale in
+    [1e-3, 1e3]: the frame slope of J is Q's, whatever G and c."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n, free = m + k, min(m, k)  # at most k top singular values below 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.ones(m)
+    s[m - free:] = np.sort(rng.uniform(0.05, 1.0, free))[::-1]
+    smin = draw(st.sampled_from([0.0, 1e-10, 5e-10, 2e-9, 1e-8, None]))
+    if smin is not None:
+        s[-1] = smin
+
+    def rotation(d):
+        return random_rotation(d, rng) if d > 1 else np.eye(1)
+
+    w = np.zeros((k, m))
+    w[:, m - free:] = rotation(k)[:, :free]
+    v = rotation(m)
+    q = np.vstack([(rotation(m) * s) @ v.T, (w * np.sqrt(1.0 - s * s)) @ v.T])
+    g = rotation(m) * np.concatenate([[1.0], 10.0 ** rng.uniform(0.0, 3.0, m - 1)])
+    frame = random_rotation(n, rng)
+    return frame, frame @ q @ g * 10.0 ** rng.uniform(-3.0, 3.0), float(s.min())
+
+
+class TestSpanSlopes:
+    """Extraction reads slopes straight off the frame Jacobian R^T J; the
+    reference orthonormalizes J first, as the certifier's planes do."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(frame_jacobians())
+    def test_matches_the_orthonormal_basis(self, case):
+        frame, jac, smin = case
+        m = jac.shape[1]
+        slope, vertical, norm = span_slopes(product_columns(frame.T, jac[None]))
+        ref, ref_vertical = graph_slopes(left_product(frame.T, _orthonormalize_batch(jac[None])))
+        scaled = span_slopes(product_columns(frame.T, 1e-6 * jac[None]))[1]
+        if abs(smin - GRAPH_RANK_TOL) > 0.1 * GRAPH_RANK_TOL:  # clear of the threshold
+            assert vertical[0] == ref_vertical[0] == (smin <= GRAPH_RANK_TOL)
+            assert scaled[0] == vertical[0]  # the Jacobians of scale_immersion(f, 1e-6)
+        if vertical[0]:
+            assert np.isnan(slope[0]).all() and np.isnan(norm[0])
+        elif not ref_vertical[0]:
+            framed = frame.T @ jac
+            cond = (np.linalg.svd(framed, compute_uv=False)[0]
+                    / np.linalg.svd(framed[:m], compute_uv=False)[-1])
+            scale = max(1.0, np.abs(ref[0]).max())
+            assert np.abs(slope[0] - ref[0]).max() <= 1e-14 * cond * scale
+            assert norm[0] == row_norm(slope[0].ravel())
+
+    @pytest.mark.parametrize("top", [
+        [[0.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[0.3, 0.3], [-0.7, -0.7]],
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]],
+    ])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exactly_singular_top_is_vertical(self, top, k):
+        top = np.array(top)
+        regular = np.eye(len(top))
+        mats = np.stack([np.vstack([top, np.ones((k, len(top)))]),
+                         np.vstack([regular, np.ones((k, len(top)))])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            slope, vertical, norm = span_slopes(_entries(mats))
+        assert vertical.tolist() == [True, False]
+        assert np.isnan(slope[0]).all() and np.isnan(norm[0])
+        assert np.array_equal(slope[1], np.ones((k, len(top))))
 
 
 class TestSmallMatrixHelpers:

@@ -12,7 +12,7 @@ from tangentgraph import (
     ProbeHypothesisFailed,
     RankDeficient,
 )
-from tangentgraph import extractor, theorems
+from tangentgraph import extractor, radius, theorems
 
 from conftest import (
     cached_max_radius,
@@ -97,6 +97,27 @@ class TestMainTheorem:
         assert v.r0.r_hi == pytest.approx(2e-5, rel=0.05)
         assert v.r1_scaled.r_lo == pytest.approx(1 / math.sqrt(2), rel=5e-3)
         assert v.margin == pytest.approx(1 / math.sqrt(2), rel=1e-2)
+
+    def test_brackets_share_each_measurement(self, circle, monkeypatch):
+        # both ladders start at r_init: the theorem measures what the two
+        # brackets measure apart, each base point and radius once, and
+        # reports what they report
+        Q = [circle.point(0, [0.4]), circle.point(0, [-2.0])]
+        measured = []
+        real = radius._measure_once
+
+        def measure_once(ctx, N):
+            measured.append((ctx.base_point.coords.tobytes(), ctx.radius))
+            return real(ctx, N)
+
+        monkeypatch.setattr(radius, "_measure_once", measure_once)
+        apart = [tg.max_radius(circle, lam, kind, Q, N=512)
+                 for lam, kind in ((1e-5, tg.KIND_C0), (1.0, tg.KIND_C1))]
+        measured_apart, measured[:] = measured[:], []
+        v = tg.verify_main_theorem(circle, 1e-5, Q, N=512)
+        assert sorted(measured) == sorted(set(measured_apart))
+        assert len(measured) < len(measured_apart)
+        assert repr(v.r0) == repr(apart[0]) and repr(v.r1_scaled) == repr(apart[1])
 
     def test_flat_unbounded_convention(self):
         f = tg.zoo_build("flat", {"m": 1, "k": 1})
