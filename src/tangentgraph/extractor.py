@@ -28,8 +28,9 @@ from .errors import (
     NoConvergence,
     NotAGraph,
 )
-from .geometry import (Isometry, _grid_rows, _singular_extremes, is_admissible,
-                       make_admissible_isometry, product_columns, row_norm, span_slopes)
+from .geometry import (Isometry, _entries, _grid_rows, _singular_extremes, _stack_entries,
+                       is_admissible, make_admissible_isometry, product_columns, row_norm,
+                       span_slopes)
 from .zoo import ParamImmersion, ParamPoint, tangent_space
 
 STATUS_OK = 0
@@ -234,9 +235,7 @@ def _solve_linear(mats: np.ndarray, rhs: np.ndarray):
 
     A system is singular when |det| <= 1e-14 max|a_ij|^m; it takes no step.
     """
-    m = mats.shape[-1]
-    return _solve_columns([[mats[..., i, j] for j in range(m)] for i in range(m)],
-                          [rhs[..., i] for i in range(m)])
+    return _solve_columns(_entries(mats), [rhs[..., i] for i in range(mats.shape[-1])])
 
 
 def _solve_columns(a: list, rhs: list):
@@ -248,7 +247,7 @@ def _solve_columns(a: list, rhs: list):
     elif m == 2:
         det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     else:
-        mats = np.stack([np.stack(row, axis=-1) for row in a], axis=-2)
+        mats = _stack_entries(a)
         det = np.linalg.det(mats)
     scale = np.abs(a[0][0])
     for i, j in list(np.ndindex(m, m))[1:]:
@@ -586,26 +585,12 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
 
 def _in_batch_order(done: list, B: int) -> list:
     """The finished row sets, each (row ids, then per-row arrays), merged
-    into batch order.  Runs of consecutive rows of one set are copied as
-    slices, so a set that finished whole but for a few rows is copied once;
-    rows scattered into more than 64 runs are gathered instead."""
+    into batch order; a single set already in batch order is returned as is."""
     if len(done) == 1 and (done[0][0][1:] > done[0][0][:-1]).all():
         return done[0][1:]
-    ids = np.concatenate([d[0] for d in done])
-    src = np.empty(B, dtype=np.int64)  # position of each batch row in ids
-    src[ids] = np.arange(B)
-    offset = np.cumsum([0] + [len(d[0]) for d in done])
-    set_start = np.zeros(B, dtype=bool)
-    set_start[offset[:-1]] = True
-    cuts = np.flatnonzero((np.diff(src) != 1) | set_start.take(src[1:])) + 1
-    if len(cuts) >= 64:
-        return [np.concatenate(col).take(src, axis=0) for col in list(zip(*done))[1:]]
-    starts = src[[0, *cuts]]
-    sets = np.searchsorted(offset, starts, side="right") - 1
-    runs = [(k, a - offset[k], a - offset[k] + n) for k, a, n in
-            zip(sets.tolist(), starts.tolist(), np.diff([0, *cuts, B]).tolist())]
-    return [np.concatenate([done[k][col][a:b] for k, a, b in runs])
-            for col in range(1, len(done[0]))]
+    src = np.empty(B, dtype=np.int64)  # position of each batch row in the sets
+    src[np.concatenate([d[0] for d in done])] = np.arange(B)
+    return [np.concatenate(col).take(src, axis=0) for col in list(zip(*done))[1:]]
 
 
 def _constrain(chart, start, cand):

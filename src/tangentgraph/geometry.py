@@ -95,12 +95,6 @@ def _inverse_columns(mats: list) -> list:
     return [[d * inv_det, -b * inv_det], [-c * inv_det, a * inv_det]]
 
 
-def inverse_batch(mats: np.ndarray) -> np.ndarray:
-    """Inverse of every stacked m x m matrix: the adjugate over the
-    determinant for m <= 2, LAPACK above."""
-    return _stack_entries(_inverse_columns(_entries(mats)))
-
-
 def _is_orthonormal(b: np.ndarray) -> bool:
     """Whether every entry of ``B^T B - I``, for each stacked (..., n, m) B,
     is at most ``ORTHONORMAL_TOL`` in absolute value (False for NaN)."""
@@ -185,31 +179,20 @@ def _slopes(entries: list, flat: np.ndarray) -> np.ndarray:
     return slope
 
 
-def graph_slopes(bases: np.ndarray):
-    """Slope matrices of stacked n x m bases over R^m x {0}.
-
-    Returns (slope, vertical): a row is vertical when the smallest singular
-    value of its top m x m block is at most ``GRAPH_RANK_TOL``; its slope
-    is NaN.  Every other row gets bottom @ inv(top), shape (k, m).
-    """
-    m = bases.shape[-1]
-    vertical = _singular_extremes(bases[:, :m, :])[1] <= GRAPH_RANK_TOL
-    return _slopes(_entries(bases), vertical), vertical
-
-
 def span_slopes(entries: list):
     """Slope matrices over R^m x {0} of the column spans of stacked n x m
     matrices, which need not be orthonormal, given by their entries: entry
     [i][j] is a column over the stack (``product_columns`` gives them).
 
     Returns (slope, vertical, norm).  The slope bottom @ inv(top) depends
-    only on the span.  For an orthonormal basis of the span, sigma_min of
-    its top block is 1 / sqrt(1 + sigma_max(slope)^2), so graph_slopes'
-    test reads: a row is vertical when its top block is singular or
-    sigma_max(slope)^2 >= GRAPH_RANK_TOL^-2 - 1.  That test depends on
-    neither the basis nor its scale.  norm is the slope's Frobenius norm,
-    an upper bound of sigma_max, so only rows with norm >= 1 / GRAPH_RANK_TOL
-    need sigma_max.  Vertical rows get NaN slopes and norms.
+    only on the span.  A span is vertical when the top block of its
+    orthonormal basis has sigma_min <= GRAPH_RANK_TOL.  That sigma_min is
+    1 / sqrt(1 + sigma_max(slope)^2), so the test reads: a row is vertical
+    when its top block is singular or sigma_max(slope)^2 >=
+    GRAPH_RANK_TOL^-2 - 1.  It depends on neither the basis nor its scale.
+    norm is the slope's Frobenius norm, an upper bound of sigma_max, so only
+    rows with norm >= 1 / GRAPH_RANK_TOL need sigma_max.  Vertical rows get
+    NaN slopes and norms.
     """
     m, k = len(entries[0]), len(entries) - len(entries[0])
     if m == 1:
@@ -437,9 +420,9 @@ def random_rotation(n: int, rng) -> np.ndarray:
 
 
 def _graph_results(bases: np.ndarray) -> list:
-    """GraphMatrixResult per stacked basis from one ``graph_slopes`` call, or
+    """GraphMatrixResult per stacked basis from one ``span_slopes`` call, or
     None where it is vertical; each norm has the bits of ``matrix_norm``."""
-    slope, vertical = graph_slopes(bases)
+    slope, vertical, _ = span_slopes(_entries(bases))
     norms = np.sqrt((slope * slope).reshape(len(slope), -1).sum(axis=-1))
     return [None if v else GraphMatrixResult(matrix=a, norm=float(norm))
             for a, v, norm in zip(slope, vertical, norms)]

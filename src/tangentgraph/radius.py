@@ -63,10 +63,11 @@ class PropertyVerdict:
 
 
 @dataclass(frozen=True)
-class _Measure:
-    """What a witness measures, whatever its kind and slope bound: the
-    verdict when the graph check already decides it ("inconclusive" or
-    "fail"), else the norms and whether a node is vertical."""
+class _Reading:
+    """What a witness reads off its sample, whatever its kind and slope
+    bound: the verdict when the graph check already decides it
+    ("inconclusive" or "fail"), else the norms and whether a node is
+    vertical."""
 
     status: str = None
     detail: str = ""
@@ -75,13 +76,13 @@ class _Measure:
     vertical: bool = False
 
 
-# (chart, coords, r, N) -> _Measure while _measures_shared() is active
-_SHARED = contextvars.ContextVar("tangentgraph_shared_measures", default=None)
+# (chart, coords, r, N) -> _Reading while _readings_shared() is active
+_SHARED = contextvars.ContextVar("tangentgraph_shared_readings", default=None)
 
 
 @contextlib.contextmanager
-def _measures_shared():
-    """Within the block, property checks measure each base point at each
+def _readings_shared():
+    """Within the block, property checks read each base point at each
     radius and grid once, whatever the kind and slope bound they test."""
     token = _SHARED.set({})
     try:
@@ -90,36 +91,36 @@ def _measures_shared():
         _SHARED.reset(token)
 
 
-def _measure_at(ctx: FrameContext, N: int) -> _Measure:
-    """The measure at the context's base point and radius, read from the
-    shared measures when they hold it."""
+def _read_at(ctx: FrameContext, N: int) -> _Reading:
+    """The reading at the context's base point and radius, taken from the
+    shared readings when they hold it."""
     shared = _SHARED.get()
     if shared is None:
-        return _measure_once(ctx, N)
+        return _read_once(ctx, N)
     q = ctx.base_point
     key = (q.chart, q.coords.tobytes(), ctx.radius, N)
     if key not in shared:
-        shared[key] = _measure_once(ctx, N)
+        shared[key] = _read_once(ctx, N)
     return shared[key]
 
 
-def _measure_once(ctx: FrameContext, N: int) -> _Measure:
+def _read_once(ctx: FrameContext, N: int) -> _Reading:
     """Component, sheet scan, extraction and norms at the context's base
     point and radius."""
     try:
         region = component(ctx)
     except BoundaryEscape as exc:
-        return _Measure("inconclusive", str(exc))
+        return _Reading("inconclusive", str(exc))
     # A second sheet fails both properties; skip the node solve when the
     # cell scan already proves it (same flagging rule as extraction).
     if second_sheet_present(region, ctx.radius, N, ctx.immersion.m):
-        return _Measure("fail", "multi_sheet")
+        return _Reading("fail", "multi_sheet")
     sample = _extract_on_region(ctx, region, N)
     counts = sample.status_counts()
     if counts["multi_sheet"] or counts["uncovered"]:
-        return _Measure("fail", f"not a graph: {counts}")
+        return _Reading("fail", f"not a graph: {counts}")
     est = norms(sample)
-    return _Measure(c0=est.c0, lip=est.lip, vertical=counts["vertical"] > 0)
+    return _Reading(c0=est.c0, lip=est.lip, vertical=counts["vertical"] > 0)
 
 
 def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
@@ -129,7 +130,7 @@ def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
         raise ValueError("slope bound must be positive")
     if kind not in (KIND_C0, KIND_C1):
         raise ValueError(f"unknown property kind {kind!r}")
-    est = _measure_at(ctx, N)
+    est = _read_at(ctx, N)
     if est.status is not None:
         return Witness(q, est.status, detail=est.detail)
     if kind == KIND_C1:

@@ -36,7 +36,7 @@ from .radius import (
     KIND_C1,
     RadiusReport,
     _grid,
-    _measures_shared,
+    _readings_shared,
     _witness_at,
     is_r_lambda,
     max_radius,
@@ -90,7 +90,7 @@ def verify_main_theorem(f: ParamImmersion, lam: float, Q, tol: float = 1e-3,
     holds when r0.r_hi <= r1.r_lo and is otherwise Inconclusive.
     """
     cap = _height_cap(f.m, lam)
-    with _measures_shared():  # both ladders start at the same radius
+    with _readings_shared():  # both ladders start at the same radius
         r0 = max_radius(f, lam, KIND_C0, Q, tol=tol, N=N)
         r1 = max_radius(f, lam / cap, KIND_C1, Q, tol=tol, N=N)
     if r1.unbounded:

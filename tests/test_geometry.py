@@ -26,10 +26,10 @@ from tangentgraph.geometry import (
     GRAPH_RANK_TOL,
     SPAN_TOL,
     _entries,
+    _inverse_columns,
     _orthonormalize_batch,
     _singular_extremes,
-    graph_slopes,
-    inverse_batch,
+    _stack_entries,
     left_product,
     product_columns,
     row_norm,
@@ -590,7 +590,7 @@ class TestEntrywiseKernels:
         ref = np.linalg.inv(mats)
         # both are backward stable: they agree to rounding times the condition
         cond = np.linalg.cond(mats)
-        err = np.abs(inverse_batch(mats) - ref).max(axis=(-1, -2))
+        err = np.abs(_stack_entries(_inverse_columns(_entries(mats))) - ref).max(axis=(-1, -2))
         assert (err <= 1e-14 * cond * np.abs(ref).max(axis=(-1, -2))).all()
 
     @pytest.mark.parametrize("top", [
@@ -598,15 +598,19 @@ class TestEntrywiseKernels:
         [[0.0, 0.0], [0.0, 0.0]],
         [[1.0, 2.0], [2.0, 4.0]],
         [[0.3, 0.3], [-0.7, -0.7]],
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]],
     ])
     def test_exactly_singular_top_is_vertical(self, top):
         top = np.array(top)
-        basis = np.concatenate([top, np.ones((1, len(top)))])[None]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            slope, vertical = graph_slopes(basis)
-        assert vertical.tolist() == [True]
-        assert np.isnan(slope).all()
+        for k in (1, 2):
+            mats = np.stack([np.vstack([top, np.ones((k, len(top)))]),
+                             np.vstack([np.eye(len(top)), np.ones((k, len(top)))])])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                slope, vertical, norm = span_slopes(_entries(mats))
+            assert vertical.tolist() == [True, False]
+            assert np.isnan(slope[0]).all() and np.isnan(norm[0])
+            assert np.array_equal(slope[1], np.ones((k, len(top))))
 
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -628,8 +632,8 @@ class TestEntrywiseKernels:
         is_vertical[rng.choice(55, 15, replace=False)] = True
         mixed = np.empty((55, m + k, m))
         mixed[is_vertical], mixed[~is_vertical] = vertical, regular
-        alone, alone_vertical = graph_slopes(regular)
-        slope, flags = graph_slopes(mixed)
+        alone, alone_vertical, _ = span_slopes(_entries(regular))
+        slope, flags, _ = span_slopes(_entries(mixed))
         assert not alone_vertical.any()
         assert np.array_equal(flags, is_vertical)
         assert np.isnan(slope[is_vertical]).all()
@@ -667,7 +671,8 @@ def frame_jacobians(draw):
 
 class TestSpanSlopes:
     """Extraction reads slopes straight off the frame Jacobian R^T J; the
-    reference orthonormalizes J first, as the certifier's planes do."""
+    reference orthonormalizes J first and reads the top block of that
+    basis, in the frame, by LAPACK's SVD and inverse."""
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(frame_jacobians())
@@ -675,40 +680,22 @@ class TestSpanSlopes:
         frame, jac, smin = case
         m = jac.shape[1]
         slope, vertical, norm = span_slopes(product_columns(frame.T, jac[None]))
-        ref, ref_vertical = graph_slopes(left_product(frame.T, _orthonormalize_batch(jac[None])))
+        basis = frame.T @ _orthonormalize_batch(jac[None])[0]
+        ref_vertical = np.linalg.svd(basis[:m], compute_uv=False)[-1] <= GRAPH_RANK_TOL
         scaled = span_slopes(product_columns(frame.T, 1e-6 * jac[None]))[1]
         if abs(smin - GRAPH_RANK_TOL) > 0.1 * GRAPH_RANK_TOL:  # clear of the threshold
-            assert vertical[0] == ref_vertical[0] == (smin <= GRAPH_RANK_TOL)
+            assert vertical[0] == ref_vertical == (smin <= GRAPH_RANK_TOL)
             assert scaled[0] == vertical[0]  # the Jacobians of scale_immersion(f, 1e-6)
         if vertical[0]:
             assert np.isnan(slope[0]).all() and np.isnan(norm[0])
-        elif not ref_vertical[0]:
+        elif not ref_vertical:
+            ref = basis[m:] @ np.linalg.inv(basis[:m])
             framed = frame.T @ jac
             cond = (np.linalg.svd(framed, compute_uv=False)[0]
                     / np.linalg.svd(framed[:m], compute_uv=False)[-1])
-            scale = max(1.0, np.abs(ref[0]).max())
-            assert np.abs(slope[0] - ref[0]).max() <= 1e-14 * cond * scale
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(slope[0] - ref).max() <= 1e-14 * cond * scale
             assert norm[0] == row_norm(slope[0].ravel())
-
-    @pytest.mark.parametrize("top", [
-        [[0.0]],
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[1.0, 2.0], [2.0, 4.0]],
-        [[0.3, 0.3], [-0.7, -0.7]],
-        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]],
-    ])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_exactly_singular_top_is_vertical(self, top, k):
-        top = np.array(top)
-        regular = np.eye(len(top))
-        mats = np.stack([np.vstack([top, np.ones((k, len(top)))]),
-                         np.vstack([regular, np.ones((k, len(top)))])])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            slope, vertical, norm = span_slopes(_entries(mats))
-        assert vertical.tolist() == [True, False]
-        assert np.isnan(slope[0]).all() and np.isnan(norm[0])
-        assert np.array_equal(slope[1], np.ones((k, len(top))))
 
 
 class TestSmallMatrixHelpers:
@@ -737,34 +724,34 @@ class TestSmallMatrixHelpers:
         assert np.array_equal(Subspace.from_span(mat).basis, basis)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(small_matrices())
-    def test_graph_slopes_match_svd_and_inverse(self, mat):
-        m = mat.shape[1]
-        if mat.shape[0] == m:
-            return  # no bottom block: not a graph basis
-        top = mat[:m]
-        slope, vertical = graph_slopes(mat[None])
-        smin = np.linalg.svd(top, compute_uv=False)[-1]
-        scale = max(1.0, np.abs(top).max())
-        if abs(smin - GRAPH_RANK_TOL) > 1e-14 * scale:  # clear of the threshold
-            assert vertical[0] == (smin <= GRAPH_RANK_TOL)
-        if vertical[0]:
-            assert np.isnan(slope[0]).all()
-        else:
-            inv = np.linalg.inv(top)
-            expected = mat[m:] @ inv
-            # the products cancel by up to the size of the inverse
-            scale = np.abs(mat[m:]).max() * np.abs(inv).max()
-            assert np.abs(slope[0] - expected).max() <= 1e-14 * max(1.0, scale)
+    @given(frame_jacobians())
+    def test_graph_slopes_match_svd_and_inverse(self, case):
+        # the certifier's graph of an orthonormal basis against LAPACK's SVD
+        # and inverse of the basis's top block
+        frame, jac, _ = case
+        m = jac.shape[1]
+        basis = frame.T @ _orthonormalize_batch(jac[None])[0]
+        graph = Subspace(basis).graph
+        smin = np.linalg.svd(basis[:m], compute_uv=False)[-1]
+        if abs(smin - GRAPH_RANK_TOL) > 0.1 * GRAPH_RANK_TOL:  # clear of the threshold
+            assert (graph is None) == (smin <= GRAPH_RANK_TOL)
+        if graph is not None and smin > GRAPH_RANK_TOL:
+            expected = basis[m:] @ np.linalg.inv(basis[:m])
+            # backward stable: rounding times the condition 1 / smin
+            scale = max(1.0, np.abs(expected).max())
+            assert np.abs(graph.matrix - expected).max() <= 1e-14 / smin * scale
+            assert graph.norm == matrix_norm(graph.matrix)
 
     @pytest.mark.parametrize("s", [0.0, 1e-8])
     def test_rotated_two_by_two_vertical_threshold(self, s):
-        # rotations of diag(0.9, s): exactly singular tops are vertical, tops
-        # ten times above the threshold are not
+        # orthonormal bases whose tops are rotations of diag(1, s): singular
+        # tops are vertical, tops ten times above the threshold are not
         rng = np.random.default_rng(5)
-        tops = np.stack([random_rotation(2, rng) @ np.diag([0.9, s])
-                         @ random_rotation(2, rng) for _ in range(2000)])
-        bases = np.concatenate([tops, np.zeros((2000, 1, 2))], axis=1)
-        _, vertical = graph_slopes(bases)
+        bases = []
+        for _ in range(2000):
+            v = random_rotation(2, rng)
+            bases.append(np.vstack([random_rotation(2, rng) @ np.diag([1.0, s]) @ v.T,
+                                    [0.0, math.sqrt(1.0 - s * s)] @ v.T]))
+        vertical = np.array([e.graph is None for e in Subspace.stack(bases)])
         assert vertical.all() == (s == 0.0)
         assert vertical.any() == (s == 0.0)

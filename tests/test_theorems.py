@@ -104,13 +104,13 @@ class TestMainTheorem:
         # reports what they report
         Q = [circle.point(0, [0.4]), circle.point(0, [-2.0])]
         measured = []
-        real = radius._measure_once
+        real = radius._read_once
 
-        def measure_once(ctx, N):
+        def read_once(ctx, N):
             measured.append((ctx.base_point.coords.tobytes(), ctx.radius))
             return real(ctx, N)
 
-        monkeypatch.setattr(radius, "_measure_once", measure_once)
+        monkeypatch.setattr(radius, "_read_once", read_once)
         apart = [tg.max_radius(circle, lam, kind, Q, N=512)
                  for lam, kind in ((1e-5, tg.KIND_C0), (1.0, tg.KIND_C1))]
         measured_apart, measured[:] = measured[:], []
