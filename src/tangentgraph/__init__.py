@@ -38,10 +38,8 @@ from .geometry import (
     graph_matrix_from_probes,
     is_admissible,
     make_admissible_isometry,
-    matrix_norm,
     randomize_admissible,
     random_rotation,
-    subspace_graph_matrix,
 )
 from .radius import (
     KIND_C0,

@@ -28,7 +28,7 @@ from .errors import (
     NoConvergence,
     NotAGraph,
 )
-from .geometry import (Isometry, _entries, _grid_rows, _singular_extremes, _stack_entries,
+from .geometry import (Isometry, _grid_rows, _singular_extremes, _solve_columns, column_norm,
                        is_admissible, make_admissible_isometry, product_columns, row_norm,
                        span_slopes)
 from .zoo import ParamImmersion, ParamPoint, tangent_space
@@ -181,6 +181,14 @@ class ComponentRegion:
     def total_cells(self) -> int:
         return sum(len(b.idx) for b in self.blocks.values())
 
+    def cells(self, attr: str) -> np.ndarray:
+        """A _CellBlock attribute over the region's cells, in row order;
+        "chart" gives each cell's chart."""
+        if attr == "chart":
+            return np.repeat(list(self.blocks), [len(b.idx) for b in self.blocks.values()])
+        parts = [getattr(b, attr) for b in self.blocks.values()]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def contains(self, chart: int, coords) -> np.ndarray:
         """Cell membership with a one-cell halo: a row is inside when its
         cell or one of the 3^m - 1 cells around it belongs to the region."""
@@ -220,57 +228,6 @@ def _per_chart(fn, charts, *arrays) -> np.ndarray:
             out = np.empty((len(charts),) + val.shape[1:], dtype=val.dtype)
         out[rows] = val
     return out
-
-
-def _column_norm(cols: list) -> np.ndarray:
-    """row_norm of the rows whose columns are cols, with its bits."""
-    square = cols[0] * cols[0]
-    for col in cols[1:]:
-        square += col * col
-    return np.sqrt(square)
-
-
-def _solve_linear(mats: np.ndarray, rhs: np.ndarray):
-    """Batched solve of small square systems: (step, singular).
-
-    A system is singular when |det| <= 1e-14 max|a_ij|^m; it takes no step.
-    """
-    return _solve_columns(_entries(mats), [rhs[..., i] for i in range(mats.shape[-1])])
-
-
-def _solve_columns(a: list, rhs: list):
-    """_solve_linear on systems given by their entries a[i][j] and right-hand
-    sides rhs[i], each a column over the stack."""
-    m = len(a)
-    if m == 1:
-        det = a[0][0]
-    elif m == 2:
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    else:
-        mats = _stack_entries(a)
-        det = np.linalg.det(mats)
-    scale = np.abs(a[0][0])
-    for i, j in list(np.ndindex(m, m))[1:]:
-        np.maximum(scale, np.abs(a[i][j]), out=scale)
-    singular = np.abs(det) <= 1e-14 * scale ** m
-    if m > 2:
-        regular = np.where(singular[..., None, None], np.eye(m), mats)
-        step = np.linalg.solve(regular, np.stack(rhs, axis=-1)[..., None])[..., 0]
-        return np.where(singular[..., None], 0.0, step), singular
-    any_singular = singular.any()
-    safe = np.where(singular, 1.0, det) if any_singular else det
-    step = np.empty(det.shape + (m,))
-    if m == 1:
-        step[..., 0] = rhs[0] / safe
-        if any_singular:
-            step[singular] = 0.0
-        return step, singular
-    inv_det = 1.0 / safe
-    if any_singular:
-        inv_det[singular] = 0.0
-    step[..., 0] = inv_det * (a[1][1] * rhs[0] - a[0][1] * rhs[1])
-    step[..., 1] = inv_det * (a[0][0] * rhs[1] - a[1][0] * rhs[0])
-    return step, singular
 
 
 def _flood(ctx: FrameContext, h: np.ndarray) -> ComponentRegion:
@@ -512,7 +469,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
     done = []
     for _ in range(NEWTON_MAX_ITER):
         g = [y[:, j] - tgt[:, j] for j in range(m)]
-        res = _column_norm(g)
+        res = column_norm(g)
         # converged, or the last step was singular or left the region twice
         stop = (res <= tol) | singular | (strikes >= 2)
         rest = ALL
@@ -543,7 +500,7 @@ def _solve_batch(ctx: FrameContext, region: ComponentRegion, targets, seed_chart
             ch = f.charts[c]
             best = _constrain(ch, cur_c, cur_c - step)
             best_y = ctx.frame_coords(c, best)
-            best_res = _column_norm([best_y[:, j] - tgt_c[:, j] for j in range(m)])
+            best_res = column_norm([best_y[:, j] - tgt_c[:, j] for j in range(m)])
             retry = np.nonzero(~(best_res <= res_c * (1 - 1e-4)))[0]
             for scale in (0.5, 0.25):
                 if not len(retry):
@@ -726,14 +683,9 @@ def _solve_nodes(ctx: FrameContext, region: ComponentRegion, targets):
     def bin_of(x):
         return _flat_index(np.floor((x + r) * (32 / r)).clip(0, 63).astype(np.int64), shape)
 
-    def cells(attr):
-        """A _CellBlock attribute over the region's cells, in row order."""
-        parts = [getattr(b, attr) for b in region.blocks.values()]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
     total = region.total_cells
     cell = np.full(shape, total, dtype=np.int64)  # each bin's first cell
-    np.minimum.at(cell.reshape(-1), bin_of(cells("x")), np.arange(total))
+    np.minimum.at(cell.reshape(-1), bin_of(region.cells("x")), np.arange(total))
     cell[cell == total] = -1
     want = bin_of(targets)
     while (cell.take(want) < 0).any():
@@ -744,9 +696,8 @@ def _solve_nodes(ctx: FrameContext, region: ComponentRegion, targets):
                 cell = np.where(cell < 0, near, cell)
     rows = cell.take(want)
 
-    chart = np.repeat(list(region.blocks), [len(b.idx) for b in region.blocks.values()])
-    chart = chart.take(rows)
-    center, x, jac = (cells(a).take(rows, axis=0) for a in ("center", "x", "jac"))
+    chart, center, x, jac = (region.cells(a).take(rows, axis=0)
+                             for a in ("chart", "center", "x", "jac"))
     step, _ = _solve_columns(product_columns(ctx.iso.rotation.T[:m], jac), list((targets - x).T))
     seeds = _per_chart(lambda c, start, cand: _constrain(f.charts[c], start, cand),
                        chart, center, center + step)
@@ -823,20 +774,15 @@ def _sheet_gap_keys(region: ComponentRegion, a, N, m) -> np.ndarray:
     genuine second sheet; anything below that is within what a single
     sloped sheet can span across one bin.
     """
-    if region.total_cells == 0:
-        return np.zeros(0, dtype=np.int64)
     if (a, N) in region.sheet_keys:
         return region.sheet_keys[a, N]
     delta = 2 * a / (N - 1)
-    x_c = np.concatenate([b.x for b in region.blocks.values()])
-    u_c = np.concatenate([b.u for b in region.blocks.values()])
-    noise = np.concatenate([np.maximum(b.scale, delta * b.sigma)
-                            for b in region.blocks.values()])
-    bins = np.clip(np.rint((x_c + a) / delta), 0, N - 1).astype(np.int64)
+    noise = np.maximum(region.cells("scale"), delta * region.cells("sigma"))
+    bins = np.clip(np.rint((region.cells("x") + a) / delta), 0, N - 1).astype(np.int64)
     key = np.ravel_multi_index(tuple(bins.T), (N,) * m)
     order = np.argsort(key, kind="stable")
     key_s = key[order]
-    u_s = u_c[order]
+    u_s = region.cells("u")[order]
     noise_s = noise[order]
     boundaries = np.nonzero(np.diff(key_s))[0] + 1
     starts = np.concatenate([[0], boundaries])

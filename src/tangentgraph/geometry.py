@@ -1,4 +1,5 @@
-"""Small-dimension exact linear algebra: subspaces, isometries, graph matrices.
+"""Small-dimension exact linear algebra: subspaces, isometries, graph matrices,
+and the one copy of the entry-wise kernels over stacks of small matrices.
 
 Everything here is pure and value-like; arrays are treated as immutable
 after construction, so values may be shared freely between callers.
@@ -22,15 +23,6 @@ ORTHONORMAL_TOL = 1e-10  # entry-wise bound on |B^T B - I|
 _VERTICAL_SLOPE_SQ = GRAPH_RANK_TOL ** -2 - 1.0
 
 
-def matrix_norm(a) -> float:
-    """Column-l2 aggregate norm (sum of squared column norms, rooted).
-
-    Dominates the operator norm for every real matrix.
-    """
-    a = np.asarray(a, dtype=float)
-    return float(np.sqrt((a * a).sum()))
-
-
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis, added left to right: the bits of
     ``np.sum(a * b, axis=-1)`` for rows shorter than eight."""
@@ -40,10 +32,19 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def column_norm(cols: list) -> np.ndarray:
+    """Euclidean norms of the rows whose columns are cols, the squares added
+    left to right."""
+    square = cols[0] * cols[0]
+    for col in cols[1:]:
+        square += col * col
+    return np.sqrt(square)
+
+
 def row_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: the bits of
     ``np.linalg.norm(a, axis=-1)`` for rows shorter than eight."""
-    return np.sqrt(row_dot(a, a))
+    return column_norm([a[..., i] for i in range(a.shape[-1])])
 
 
 def product_columns(a: np.ndarray, mats: np.ndarray) -> list:
@@ -66,13 +67,6 @@ def _stack_entries(entries: list) -> np.ndarray:
     return out
 
 
-def left_product(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``a @ mat`` for every stacked matrix, entry by entry: (p, n) and
-    (..., n, q) give (..., p, q), each entry added left to right (the bits
-    of ``np.einsum("ij,bjl->bil")`` for q >= 2)."""
-    return _stack_entries(product_columns(a, mats))
-
-
 def _grid_rows(axes) -> np.ndarray:
     """Rows of the grid spanned by per-axis values, in row-major order."""
     out = np.empty(tuple(map(len, axes)) + (len(axes),), dtype=np.result_type(*axes))
@@ -81,18 +75,61 @@ def _grid_rows(axes) -> np.ndarray:
     return out.reshape(-1, len(axes))
 
 
+def _det(a: list) -> np.ndarray:
+    """Determinant of every stacked m x m matrix given by its entries a[i][j],
+    each a column over the stack: a00 for m = 1, a00 a11 - a01 a10 for
+    m = 2, LAPACK above."""
+    m = len(a)
+    if m == 1:
+        return a[0][0]
+    if m == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return np.linalg.det(_stack_entries(a))
+
+
 def _inverse_columns(mats: list) -> list:
     """Entries of the inverse of every stacked m x m matrix, the matrices and
     their inverses given by their entries (columns over the stack): the
     adjugate over the determinant for m <= 2, LAPACK above."""
     m = len(mats)
-    if m == 1:
-        return [[1.0 / mats[0][0]]]
     if m > 2:
         return _entries(np.linalg.inv(_stack_entries(mats)))
+    inv_det = 1.0 / _det(mats)
+    if m == 1:
+        return [[inv_det]]
     (a, b), (c, d) = mats
-    inv_det = 1.0 / (a * d - b * c)
     return [[d * inv_det, -b * inv_det], [-c * inv_det, a * inv_det]]
+
+
+def _solve_columns(a: list, rhs: list):
+    """Batched solve of small square systems given by their entries a[i][j]
+    and right-hand sides rhs[i], each a column over the stack: (step,
+    singular).  A system is singular when |det| <= 1e-14 max|a_ij|^m; it
+    takes no step."""
+    m = len(a)
+    det = _det(a)
+    scale = np.abs(a[0][0])
+    for i, j in list(np.ndindex(m, m))[1:]:
+        np.maximum(scale, np.abs(a[i][j]), out=scale)
+    singular = np.abs(det) <= 1e-14 * scale ** m
+    if m > 2:
+        regular = np.where(singular[..., None, None], np.eye(m), _stack_entries(a))
+        step = np.linalg.solve(regular, np.stack(rhs, axis=-1)[..., None])[..., 0]
+        return np.where(singular[..., None], 0.0, step), singular
+    any_singular = singular.any()
+    safe = np.where(singular, 1.0, det) if any_singular else det
+    step = np.empty(det.shape + (m,))
+    if m == 1:
+        step[..., 0] = rhs[0] / safe
+        if any_singular:
+            step[singular] = 0.0
+        return step, singular
+    inv_det = 1.0 / safe
+    if any_singular:
+        inv_det[singular] = 0.0
+    step[..., 0] = inv_det * (a[1][1] * rhs[0] - a[0][1] * rhs[1])
+    step[..., 1] = inv_det * (a[0][0] * rhs[1] - a[1][0] * rhs[0])
+    return step, singular
 
 
 def _is_orthonormal(b: np.ndarray) -> bool:
@@ -195,13 +232,7 @@ def span_slopes(entries: list):
     NaN slopes and norms.
     """
     m, k = len(entries[0]), len(entries) - len(entries[0])
-    if m == 1:
-        det = entries[0][0]
-    elif m == 2:
-        det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    else:
-        det = np.linalg.det(_stack_entries(entries[:m]))
-    singular = det == 0.0
+    singular = _det(entries[:m]) == 0.0
     slope = _slopes(entries, singular)
     flat = slope.reshape(len(slope), -1)
     square = row_dot(flat, flat)
@@ -377,15 +408,15 @@ def make_admissible_isometry(base, plane: Subspace) -> Isometry:
     return Isometry(complete_orthonormal_frame(plane.basis), base)
 
 
-def is_admissible(iso: Isometry, base, plane: Subspace, tol: float = SPAN_TOL) -> bool:
+def is_admissible(iso: Isometry, base, plane: Subspace) -> bool:
     """True iff iso(0) = base and the rotation carries R^m x {0} onto the plane."""
     base = np.asarray(base, dtype=float).reshape(-1)
     if iso.dim != plane.ambient_dim or base.shape[0] != iso.dim:
         return False
-    if np.linalg.norm(iso.apply(np.zeros(iso.dim)) - base) > tol:
+    if np.linalg.norm(iso.apply(np.zeros(iso.dim)) - base) > SPAN_TOL:
         return False
     image = Subspace(iso.rotation[:, : plane.dim])
-    return image.max_principal_angle(plane) <= tol
+    return image.max_principal_angle(plane) <= SPAN_TOL
 
 
 def randomize_admissible(iso: Isometry, m: int, rng) -> Isometry:
@@ -421,17 +452,11 @@ def random_rotation(n: int, rng) -> np.ndarray:
 
 def _graph_results(bases: np.ndarray) -> list:
     """GraphMatrixResult per stacked basis from one ``span_slopes`` call, or
-    None where it is vertical; each norm has the bits of ``matrix_norm``."""
+    None where it is vertical; norms root numpy's sum of squared entries."""
     slope, vertical, _ = span_slopes(_entries(bases))
     norms = np.sqrt((slope * slope).reshape(len(slope), -1).sum(axis=-1))
     return [None if v else GraphMatrixResult(matrix=a, norm=float(norm))
             for a, v, norm in zip(slope, vertical, norms)]
-
-
-def subspace_graph_matrix(e: Subspace) -> GraphMatrixResult | None:
-    """Slope matrix of a subspace over R^m x {0}, or None when vertical (the
-    top m x m block of its basis is rank-deficient): its cached ``graph``."""
-    return e.graph
 
 
 def graph_matrix_from_probes(e: Subspace, probes, L: float) -> GraphMatrixResult:

@@ -128,8 +128,6 @@ def _witness_at(ctx: FrameContext, lam: float, kind: str, N: int) -> Witness:
     q, r = ctx.base_point, ctx.radius
     if not lam > 0:
         raise ValueError("slope bound must be positive")
-    if kind not in (KIND_C0, KIND_C1):
-        raise ValueError(f"unknown property kind {kind!r}")
     est = _read_at(ctx, N)
     if est.status is not None:
         return Witness(q, est.status, detail=est.detail)

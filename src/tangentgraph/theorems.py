@@ -11,6 +11,7 @@ the steep-wiggle counterexample for graphs over freely chosen lines.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .extractor import (  # noqa: F401
     norms,
 )
 from .geometry import (Subspace, _grid_rows, _orthonormalize_batch, _singular_extremes,
-                       graph_matrix_from_probes, left_product, row_norm)
+                       _stack_entries, graph_matrix_from_probes, product_columns, row_norm)
 from .radius import (
     KIND_C0,
     KIND_C1,
@@ -170,14 +171,9 @@ def check_distance_bound(f: ParamImmersion, q: ParamPoint, rho: float,
     ctx = FrameContext.at(f, q, r)
     _require(ctx, lam, KIND_C0, N)
     region = component(ctx.with_radius(rho))
-    fq = f.eval(q)
-    bound = rho + r * lam
-    slack = region.scale_max
-    for chart, block in region.blocks.items():
-        dist = np.linalg.norm(f.eval_chart(chart, block.center) - fq, axis=1)
-        if (dist >= bound + slack).any():
-            return False
-    return True
+    bound = rho + r * lam + region.scale_max  # slack: the widest cell image
+    image = _per_chart(f.eval_chart, region.cells("chart"), region.cells("center"))
+    return not (row_norm(image - f.eval(q)) >= bound).any()
 
 
 def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> bool:
@@ -196,15 +192,12 @@ def check_inclusion(f: ParamImmersion, q: ParamPoint, r: float, lam: float) -> b
     ctx = FrameContext.at(f, q, r)
     _require(ctx, lam, KIND_C1)
     region_q = component(ctx.with_radius(0.4 * r))
-    charts = np.concatenate([np.full(len(b.center), c) for c, b in region_q.blocks.items()])
-    centers = np.concatenate([b.center for b in region_q.blocks.values()])
+    charts, centers = region_q.cells("chart"), region_q.cells("center")
     for i in _subsample(len(centers), INCLUSION_POINTS):
         ctx_p = FrameContext.at(f, ParamPoint(int(charts[i]), centers[i]), r)
         region_p = component(ctx_p, region_q.h_axes)
-        for chart, block in region_q.blocks.items():
-            inside = region_p.contains(chart, block.center)
-            if not inside.all():
-                return False
+        if not _per_chart(region_p.contains, charts, centers).all():
+            return False
     return True
 
 
@@ -257,12 +250,14 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     node is the slope norm of its plane once its probes have passed.  The
     certificate must succeed at every node when lam is below the threshold;
     a failed probe hypothesis is reported with its node and axis.
+    nodes_per_rho must be a whole number of at least 2 (ValueError).
     """
     m = f.m
     cap = _height_cap(m, lam)
-    s = int(nodes_per_rho)
-    if s < 2:
-        raise ValueError("need at least 2 nodes per rho")
+    s = nodes_per_rho
+    if not (isinstance(s, numbers.Real) and float(s).is_integer() and s >= 2):
+        raise ValueError(f"need a whole number of at least 2 nodes per rho, got {s!r}")
+    s = int(s)
     ctx = FrameContext.at(f, q, r)
     _require(ctx, lam, KIND_C0, N)
 
@@ -292,7 +287,7 @@ def certify_du_bound(f: ParamImmersion, q: ParamPoint, r: float, lam: float,
     if len(low):
         raise RankDeficient(
             f"Jacobian nearly rank-deficient under node {base_idx[low[0]] * delta}")
-    framed = left_product(ctx.iso.rotation.T, _orthonormalize_batch(jac))
+    framed = _stack_entries(product_columns(ctx.iso.rotation.T, _orthonormalize_batch(jac)))
     # Orthogonal projections of the shifted images onto each plane.
     shift = frame[probe_rows] - frame[base_rows][:, None, :]
     coef = np.einsum("bnl,bjn->bjl", framed, shift)

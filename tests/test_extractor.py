@@ -15,6 +15,7 @@ from tangentgraph.extractor import (
     STATUS_OK,
     STATUS_UNCOVERED,
 )
+from tangentgraph.geometry import _entries, _solve_columns
 
 
 def circle_ctx(circle, r, t0=0.0):
@@ -478,14 +479,14 @@ class TestSolveLinear:
         regular = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
         mats = np.stack([rank_deficient, np.zeros((m, m)), regular])
         rhs = rng.standard_normal((3, m))
-        step, singular = extractor._solve_linear(mats, rhs)
+        step, singular = _solve_columns(_entries(mats), list(rhs.T))
         assert singular.tolist() == [True, True, False]
         assert (step[:2] == 0.0).all()
         assert np.allclose(step[2], np.linalg.solve(regular, rhs[2]), rtol=1e-12, atol=0)
 
     def test_singular_rule_is_relative_to_the_matrix(self):
         mats = np.array([[[1e-100, 0.0], [0.0, 1e-100]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
-        step, singular = extractor._solve_linear(mats, np.ones((2, 2)))
+        step, singular = _solve_columns(_entries(mats), [np.ones(2)] * 2)
         assert singular.tolist() == [False, True]
         assert np.allclose(step[0], [1e100, 1e100], rtol=1e-15, atol=0)
 

@@ -16,12 +16,9 @@ from tangentgraph import (
     graph_matrix_from_probes,
     is_admissible,
     make_admissible_isometry,
-    matrix_norm,
     random_rotation,
     randomize_admissible,
-    subspace_graph_matrix,
 )
-from tangentgraph.extractor import _solve_linear
 from tangentgraph.geometry import (
     GRAPH_RANK_TOL,
     SPAN_TOL,
@@ -29,8 +26,8 @@ from tangentgraph.geometry import (
     _inverse_columns,
     _orthonormalize_batch,
     _singular_extremes,
+    _solve_columns,
     _stack_entries,
-    left_product,
     product_columns,
     row_norm,
     span_slopes,
@@ -52,26 +49,54 @@ def power_iteration_norm(a, iters=60, seed=0):
     return float(np.linalg.norm(a @ v))
 
 
+def frobenius(a):
+    """Root of numpy's sum of the squared entries."""
+    return float(np.sqrt((a * a).sum()))
+
+
+def reported_norms(mats):
+    """The slope norms the library reports for each k x m slope matrix a:
+    span_slopes's (extraction's du_norm and lip) for the span of [I; a],
+    and the GraphMatrixResult of that plane; one batch per shape."""
+    out, shapes = [None] * len(mats), {}
+    for i, a in enumerate(mats):
+        shapes.setdefault(a.shape, []).append(i)
+    for (_, m), rows in shapes.items():
+        spans = np.stack([np.vstack([np.eye(m), mats[i]]) for i in rows])
+        norms = span_slopes(_entries(spans))[2]
+        for i, norm, plane in zip(rows, norms, Subspace.stack(_orthonormalize_batch(spans))):
+            out[i] = norm, plane.graph
+    return out
+
+
 class TestMatrixNorm:
     def test_zero_matrix(self):
-        assert matrix_norm(np.zeros((3, 2))) == 0.0
-        assert matrix_norm(np.zeros((1, 1))) == 0.0
+        for shape in ((3, 2), (1, 1)):
+            [(norm, graph)] = reported_norms([np.zeros(shape)])
+            assert norm == graph.norm == 0.0
 
     def test_pythagorean_columns(self):
-        assert matrix_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
+        [(norm, graph)] = reported_norms([np.array([[3.0, 4.0]])])
+        assert norm == pytest.approx(5.0)
+        assert graph.norm == pytest.approx(5.0)
 
     def test_identity_block_dominates_operator_norm(self):
         a = np.eye(2)
-        assert matrix_norm(a) == pytest.approx(math.sqrt(2.0))
-        assert power_iteration_norm(a) <= matrix_norm(a)
+        [(norm, graph)] = reported_norms([a])
+        for matrix, value in ((a, norm), (graph.matrix, graph.norm)):
+            assert value == pytest.approx(math.sqrt(2.0))
+            assert power_iteration_norm(matrix) <= value
 
     def test_operator_norm_domination_random(self):
         rng = np.random.default_rng(42)
+        cases = []
         for _ in range(10_000):
             k = rng.integers(1, 7)
             m = rng.integers(1, 7)
-            a = rng.standard_normal((k, m)) * rng.uniform(0.1, 10.0)
-            assert power_iteration_norm(a, iters=40, seed=1) <= matrix_norm(a) + 1e-12
+            cases.append(rng.standard_normal((k, m)) * rng.uniform(0.1, 10.0))
+        for a, (norm, graph) in zip(cases, reported_norms(cases)):
+            for matrix, value in ((a, norm), (graph.matrix, graph.norm)):
+                assert power_iteration_norm(matrix, iters=40, seed=1) <= value + 1e-12
 
 
 class TestSubspace:
@@ -252,19 +277,19 @@ class TestProjection:
 class TestSubspaceGraphMatrix:
     def test_horizontal_space_gives_zero(self):
         e = Subspace(np.eye(5)[:, :3])
-        res = subspace_graph_matrix(e)
+        res = e.graph
         assert res is not None
         assert np.allclose(res.matrix, 0.0)
         assert res.norm == 0.0
 
     def test_line_slope(self):
         e = Subspace.from_span(np.array([[1.0], [0.1]]))
-        res = subspace_graph_matrix(e)
+        res = e.graph
         assert res.matrix[0, 0] == pytest.approx(0.1, abs=1e-14)
 
     def test_vertical_line_is_not_a_graph(self):
         e = Subspace(np.array([[0.0], [1.0]]))
-        assert subspace_graph_matrix(e) is None
+        assert e.graph is None
 
 
 class TestSubspaceStack:
@@ -289,11 +314,9 @@ class TestSubspaceStack:
             assert np.array_equal(e.basis, single.basis)
             if i % 2:
                 assert e.graph is None and single.graph is None
-                assert subspace_graph_matrix(e) is None
                 continue
             assert np.array_equal(e.graph.matrix, single.graph.matrix)
-            assert e.graph.norm == single.graph.norm == matrix_norm(single.graph.matrix)
-            assert subspace_graph_matrix(e) is e.graph
+            assert e.graph.norm == single.graph.norm == frobenius(single.graph.matrix)
 
     def test_non_orthonormal_basis_in_a_stack_is_refused(self):
         bases = self.mixed_stack(2, 2, np.random.default_rng(5))
@@ -356,7 +379,7 @@ def probe_cases(draw):
     L = draw(st.floats(0.05, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.standard_normal((k, m))
-    a *= L / (8.0 * math.sqrt(m)) / max(matrix_norm(a), 1e-12) * rng.uniform(0.2, 1.0)
+    a *= L / (8.0 * math.sqrt(m)) / max(frobenius(a), 1e-12) * rng.uniform(0.2, 1.0)
     e = Subspace.from_span(np.vstack([np.eye(m), a]))
     budget = L / (3.0 * math.sqrt(m))
     probes = []
@@ -452,7 +475,7 @@ class TestGraphMatrixFromProbes:
             res = graph_matrix_from_probes(e, probes, L)
             assert np.abs(res.matrix - a).max() < 1e-9
             assert res.norm <= L + 1e-12
-            direct = subspace_graph_matrix(e)
+            direct = e.graph
             assert np.abs(res.matrix - direct.matrix).max() < 1e-12
 
 
@@ -463,7 +486,7 @@ def _random_probe_case(rng):
     n = m + k
     L = float(rng.uniform(0.05, 1.0))
     a = rng.standard_normal((k, m))
-    scale = L / (4.0 * math.sqrt(m)) / max(matrix_norm(a), 1e-12)
+    scale = L / (4.0 * math.sqrt(m)) / max(frobenius(a), 1e-12)
     a = a * scale * rng.uniform(0.2, 1.0)
     e = Subspace.from_span(np.vstack([np.eye(m), a]))
     probes = []
@@ -550,7 +573,7 @@ class TestEntrywiseKernels:
     @given(small_stacks(), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_left_product_matches_einsum(self, mats, p, seed):
         a = np.random.default_rng(seed).standard_normal((p, mats.shape[1]))
-        got, ref = left_product(a, mats), np.einsum("ij,bjl->bil", a, mats)
+        got, ref = _stack_entries(product_columns(a, mats)), np.einsum("ij,bjl->bil", a, mats)
         if mats.shape[-1] >= 2 or mats.shape[1] <= 2:
             assert np.array_equal(got, ref)
         else:
@@ -573,7 +596,7 @@ class TestEntrywiseKernels:
     @given(small_stacks(square=True))
     def test_singular_flag_matches_max_rule(self, mats):
         m = mats.shape[-1]
-        _, singular = _solve_linear(mats, np.ones(mats.shape[:-1]))
+        _, singular = _solve_columns(_entries(mats), [np.ones(len(mats))] * m)
         det = mats[:, 0, 0] if m == 1 else np.linalg.det(mats)
         if m == 2:
             det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
@@ -740,7 +763,7 @@ class TestSmallMatrixHelpers:
             # backward stable: rounding times the condition 1 / smin
             scale = max(1.0, np.abs(expected).max())
             assert np.abs(graph.matrix - expected).max() <= 1e-14 / smin * scale
-            assert graph.norm == matrix_norm(graph.matrix)
+            assert graph.norm == frobenius(graph.matrix)
 
     @pytest.mark.parametrize("s", [0.0, 1e-8])
     def test_rotated_two_by_two_vertical_threshold(self, s):

@@ -342,9 +342,10 @@ class TestDuCertifier:
             raise AssertionError("nodes_per_rho must be checked first")
 
         monkeypatch.setattr(theorems, "_require", require)
-        with pytest.raises(ValueError, match="at least 2 nodes per rho"):
-            tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5, 1e-5,
-                                nodes_per_rho=1)
+        for s in (1, 2.5):
+            with pytest.raises(ValueError, match="at least 2 nodes per rho"):
+                tg.certify_du_bound(circle, circle.point(0, [0.0]), 1.9e-5, 1e-5,
+                                    nodes_per_rho=s)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_lattice_continuation_solves_every_node(self, circle, sphere, m):
